@@ -3,7 +3,7 @@
 //! allocation + signal-to-memory assignment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use memx_bench::experiments;
+use memx_bench::experiments::{self, RunKnobs};
 use memx_core::alloc::{assign, AllocOptions};
 use memx_core::{macp, scbd};
 use memx_memlib::MemLibrary;
@@ -16,21 +16,29 @@ fn bench_macp(c: &mut Criterion) {
 }
 
 fn bench_scbd(c: &mut Criterion) {
-    let ctx = experiments::paper_context();
-    let spec = experiments::best_hierarchy_spec(&ctx).expect("transforms valid");
+    // The smoke profile's best-hierarchy spec has the larger body: 49
+    // accesses in `refine_ctx4`, against 19 at full fidelity.
+    let full = experiments::paper_context();
+    let smoke = experiments::context(RunKnobs {
+        smoke: true,
+        ..RunKnobs::default()
+    });
     let mut group = c.benchmark_group("scbd");
-    for extra_pct in [0u64, 15, 30] {
-        let budget = experiments::CYCLE_BUDGET - experiments::CYCLE_BUDGET * extra_pct / 100;
-        group.bench_with_input(
-            BenchmarkId::new("distribute", format!("extra{extra_pct}pct")),
-            &budget,
-            |b, &budget| {
-                b.iter(|| {
-                    scbd::distribute_with_budget(std::hint::black_box(&spec), budget)
-                        .expect("budget feasible")
-                })
-            },
-        );
+    for (name, ctx) in [("", &full), ("smoke/", &smoke)] {
+        let spec = experiments::best_hierarchy_spec(ctx).expect("transforms valid");
+        for extra_pct in [0u64, 15, 30] {
+            let budget = experiments::CYCLE_BUDGET - experiments::CYCLE_BUDGET * extra_pct / 100;
+            group.bench_with_input(
+                BenchmarkId::new("distribute", format!("{name}extra{extra_pct}pct")),
+                &budget,
+                |b, &budget| {
+                    b.iter(|| {
+                        scbd::distribute_with_budget(std::hint::black_box(&spec), budget)
+                            .expect("budget feasible")
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -23,9 +23,10 @@ use std::sync::Arc;
 use memx_btpc::spec::{btpc_app_spec, measure_profile, BtpcSpec};
 use memx_core::alloc::{AllocOptions, AllocStats};
 use memx_core::cache::EvalCache;
-use memx_core::engine::{DesignPoint, Engine};
+use memx_core::engine::{auto_workers, parallel_map, DesignPoint, Engine};
 use memx_core::explore::{CostReport, EvaluateOptions, Exploration};
 use memx_core::hierarchy::{apply_hierarchy, HierarchyLayer};
+use memx_core::scbd::ScbdResult;
 use memx_core::structuring::{compact, merge};
 use memx_core::ExploreError;
 use memx_ir::{AccessKind, AppSpec, AppSpecBuilder, BasicGroupId, Placement};
@@ -467,39 +468,48 @@ pub fn paper_extras() -> Vec<u64> {
 /// paper runs its allocation sweep — its Table 4 `k = 4` row equals its
 /// Table 3 15.7 % row.
 ///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn on_chip_crossover_extra(spec: &AppSpec) -> Result<u64, ExploreError> {
-    on_chip_crossover_extra_cached(spec, None)
-}
-
-/// [`on_chip_crossover_extra`] with the persistent cache threaded
-/// through: the crossover probe distributes dozens of budgets, all of
-/// which a warm cache serves from disk.
+/// The probe budgets (1 % steps of [`CYCLE_BUDGET`], up to 39 %) are
+/// distributed through `cache` when one is given, in ascending chunks of
+/// `workers` budgets (`0` = one per core), each chunk fanned over the
+/// worker pool. The scan stops at the first forced-multiport budget in
+/// budget order, so the answer does not depend on `workers`; with one
+/// worker the chunks hold one budget each and no thread is spawned.
 ///
 /// # Errors
 ///
-/// Propagates scheduling errors.
+/// Propagates scheduling errors, except that a too-tight budget is not
+/// one: it ends the scan, and the last budget without forced multiport
+/// is returned.
 pub fn on_chip_crossover_extra_cached(
     spec: &AppSpec,
     cache: Option<&EvalCache>,
+    workers: usize,
 ) -> Result<u64, ExploreError> {
     let step = CYCLE_BUDGET / 100;
+    let extras: Vec<u64> = (0..CYCLE_BUDGET * 2 / 5).step_by(step as usize).collect();
+    let chunk = match workers {
+        0 => auto_workers(),
+        w => w,
+    };
+    let forced_multiport = |result: &ScbdResult| {
+        spec.basic_groups().iter().any(|g| {
+            g.placement() != Placement::OffChip
+                && result.required_ports(|x| x == g.id()) > g.min_ports()
+        })
+    };
     let mut last_free = 0;
-    for extra in (0..CYCLE_BUDGET * 2 / 5).step_by(step as usize) {
-        match memx_core::cache::distribute_cached(spec, CYCLE_BUDGET - extra, cache) {
-            Ok(result) => {
-                let forced_multiport = spec.basic_groups().iter().any(|g| {
-                    g.placement() != memx_ir::Placement::OffChip
-                        && result.required_ports(|x| x == g.id()) > g.min_ports()
-                });
-                if forced_multiport {
-                    return Ok(extra);
-                }
-                last_free = extra;
+    for probes in extras.chunks(chunk) {
+        let outcomes = parallel_map(probes, chunk, |_, &extra| {
+            memx_core::cache::distribute_cached(spec, CYCLE_BUDGET - extra, cache)
+                .map(|result| forced_multiport(&result))
+        });
+        for (&extra, outcome) in probes.iter().zip(outcomes) {
+            match outcome {
+                Ok(true) => return Ok(extra),
+                Ok(false) => last_free = extra,
+                Err(ExploreError::BudgetTooTight { .. }) => return Ok(last_free),
+                Err(e) => return Err(e),
             }
-            Err(_) => break,
         }
     }
     Ok(last_free)
@@ -509,10 +519,15 @@ pub fn on_chip_crossover_extra_cached(
 /// sweep through our schedule's crossover region (the absolute
 /// crossover fractions differ from the paper's because the access
 /// densities of the two BTPC implementations differ; see
-/// EXPERIMENTS.md).
+/// EXPERIMENTS.md). The crossover probe runs on the context's worker
+/// pool and cache; the list is the same for every worker count.
+///
+/// # Errors
+///
+/// Propagates transform and scheduling errors.
 pub fn extended_extras(ctx: &PaperContext) -> Result<Vec<u64>, ExploreError> {
     let spec = best_hierarchy_spec(ctx)?;
-    let crossover = on_chip_crossover_extra_cached(&spec, ctx.cache.as_deref())?;
+    let crossover = on_chip_crossover_extra_cached(&spec, ctx.cache.as_deref(), ctx.workers)?;
     let mut extras = paper_extras();
     for delta in [-2i64, 0, 2, 4, 6, 8, 10] {
         let extra = crossover as i64 + delta * (CYCLE_BUDGET / 100) as i64;

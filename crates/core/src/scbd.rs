@@ -35,12 +35,46 @@
 //! overlap-cost function (interval endpoints shifted by the access
 //! duration), which provably contains the leftmost cost minimizer, so
 //! sparse and dense scheduling place every access identically.
+//!
+//! # Incremental grants
+//!
+//! One `distribute` call derives each body's budget-independent data
+//! once: durations, occupants, predecessor lists, topological order,
+//! ASAP, tail lengths and the critical path. Every schedule of that body
+//! at any budget reuses it.
+//!
+//! Within one schedule, placed intervals are kept sorted by start, and a
+//! candidate start `s` of an access of duration `d` is scored only
+//! against the intervals with `start + max_dur > s` and `start < s + d`.
+//! The others cannot overlap `[s, s + d)`, so they add exactly zero.
+//! Breakpoints come from the same window around `[earliest, alap + d)`.
+//! Every cost term is an integer overlap times a multiple of 0.25, so
+//! the sums are exact in `f64` and do not depend on the order in which
+//! the terms are added. The windowed scorer therefore picks the same
+//! start as a scan over every placed access.
+//!
+//! The marginal-relief loop keeps each body's candidate schedules across
+//! rounds, keyed by absolute body budget. A candidate depends only on
+//! `(nest, body budget)`, so a kept one is never stale. A grant of `e`
+//! cycles keeps the granted body's candidates above its new budget and
+//! drops the rest; the other bodies keep theirs. While a body waits for
+//! its next grant its `max_extra` only shrinks, so each round offers it
+//! only budgets it was already scheduled at, and it never holds more
+//! than `GRANT_LOOKAHEAD` candidates. Bodies and extras are visited in the
+//! same order as a loop that re-schedules every candidate every round,
+//! with the same strict comparison, so the same grants are made.
+//!
+//! Both shortcuts only skip work whose result is already known, so every
+//! schedule, budget and pressure is bit-identical to a full
+//! recomputation (`reference.rs` tests this against the plain scheduler).
+//! They are therefore not result-affecting changes in the sense of
+//! `SCBD_ALGO_REVISION` in `core::cache`, and re-key no cached entry.
 
 use std::collections::BTreeMap;
 
 use memx_ir::{AppSpec, BasicGroupId, LoopNest, LoopNestId, Placement};
 
-use crate::macp::{access_duration, body_critical_path};
+use crate::macp::access_duration;
 use crate::ExploreError;
 
 // memx-lint: fingerprinted(SCBD_ALGO_REVISION) — result-affecting changes
@@ -282,7 +316,7 @@ pub fn schedule_body(
     nest: &LoopNest,
     budget: u64,
 ) -> Result<BodySchedule, ExploreError> {
-    schedule_body_with(spec, nest, budget, true)
+    BodyPlan::new(spec, nest).body_schedule(budget, true)
 }
 
 /// Naive baseline scheduler: packs every access as-soon-as-possible
@@ -299,163 +333,251 @@ pub fn schedule_body_asap(
     nest: &LoopNest,
     budget: u64,
 ) -> Result<BodySchedule, ExploreError> {
-    schedule_body_with(spec, nest, budget, false)
+    BodyPlan::new(spec, nest).body_schedule(budget, false)
 }
 
-/// Overlap cost of starting `occupant` (duration `dur`) at cycle `s`
-/// against the accesses placed so far.
-fn placement_cost(placed: &[PlacedAccess], occupant: &Occupant, s: u64, dur: u64) -> f64 {
-    let mut cost = 0.0;
-    for p in placed {
-        let lo = s.max(p.start);
-        let hi = (s + dur).min(p.end());
-        if hi > lo {
-            cost += (hi - lo) as f64 * pair_cost(&p.occupant, occupant);
-        }
-    }
-    cost
+/// The budget-independent facts about one body's flow graph, derived
+/// once per body and reused for every budget it is scheduled at.
+struct BodyPlan<'a> {
+    nest: &'a LoopNest,
+    /// Access durations, in access order.
+    dur: Vec<u64>,
+    /// Occupant of every access, in access order.
+    occupants: Vec<Occupant>,
+    /// Predecessor access indices of every access.
+    preds: Vec<Vec<usize>>,
+    /// Placement order: topological, low indices first.
+    topo: Vec<usize>,
+    /// Longest path from the sources to the start of every access.
+    asap: Vec<u64>,
+    /// Longest path from the start of every access to the end.
+    tail: Vec<u64>,
+    /// The body's critical path: the smallest feasible budget.
+    critical_path: u64,
+    /// The sum of all durations: the budget of a fully serial body.
+    serial: u64,
+    /// The longest access duration (bounds the overlap window).
+    max_dur: u64,
 }
 
-fn schedule_body_with(
-    spec: &AppSpec,
-    nest: &LoopNest,
-    budget: u64,
-    balance: bool,
-) -> Result<BodySchedule, ExploreError> {
-    let n = nest.accesses().len();
-    let cp = body_critical_path(spec, nest);
-    if cp > budget {
-        return Err(ExploreError::BudgetTooTight {
-            nest: nest.name().to_owned(),
-            required: cp,
-            available: budget,
-        });
-    }
-    let dur: Vec<u64> = nest
-        .accesses()
-        .iter()
-        .map(|a| access_duration(spec, a))
-        .collect();
+/// A schedule before it is turned into a [`BodySchedule`]: the
+/// placements in access order and their pressure.
+struct Schedule {
+    placements: Vec<PlacedAccess>,
+    pressure: f64,
+}
 
-    // ASAP (longest path from sources) and ALAP (budget minus longest
-    // path to sinks).
-    let topo = topo_order(nest);
-    let mut asap = vec![0u64; n];
-    for &i in &topo {
-        for s in nest.successors(memx_ir::AccessId::from_index(i)) {
-            let j = s.index();
-            asap[j] = asap[j].max(asap[i] + dur[i]);
+impl<'a> BodyPlan<'a> {
+    fn new(spec: &AppSpec, nest: &'a LoopNest) -> Self {
+        let n = nest.accesses().len();
+        let dur: Vec<u64> = nest
+            .accesses()
+            .iter()
+            .map(|a| access_duration(spec, a))
+            .collect();
+        let occupants = nest
+            .accesses()
+            .iter()
+            .map(|a| Occupant {
+                group: a.group(),
+                off_chip: spec.group(a.group()).placement() == Placement::OffChip,
+            })
+            .collect();
+        let mut succs = vec![Vec::new(); n];
+        let mut preds = vec![Vec::new(); n];
+        let mut indeg = vec![0usize; n];
+        for e in nest.dependencies() {
+            succs[e.from.index()].push(e.to.index());
+            preds[e.to.index()].push(e.from.index());
+            indeg[e.to.index()] += 1;
         }
-    }
-    let mut tail = dur.clone(); // longest path from start of i to end
-    for &i in topo.iter().rev() {
-        for s in nest.successors(memx_ir::AccessId::from_index(i)) {
-            let j = s.index();
-            tail[i] = tail[i].max(dur[i] + tail[j]);
-        }
-    }
-    let alap: Vec<u64> = (0..n).map(|i| budget - tail[i]).collect();
 
-    let mut placed: Vec<PlacedAccess> = Vec::with_capacity(n);
-    let mut start = vec![0u64; n];
-    let mut placement_of = vec![usize::MAX; n]; // access index -> placed index
-    for &i in &topo {
-        let a = &nest.accesses()[i];
-        let occupant = Occupant {
-            group: a.group(),
-            off_chip: spec.group(a.group()).placement() == Placement::OffChip,
-        };
-        // Earliest start after scheduled predecessors.
-        let mut earliest = asap[i];
-        for pfrom in nest.predecessors(memx_ir::AccessId::from_index(i)) {
-            let p = pfrom.index();
-            earliest = earliest.max(start[p] + dur[p]);
-        }
-        debug_assert!(earliest <= alap[i], "window collapsed for access {i}");
-        let mut best = earliest;
-        if balance && !placed.is_empty() {
-            // The overlap cost is piecewise linear in the start cycle;
-            // its leftmost minimizer over [earliest, alap] is either a
-            // window endpoint or a breakpoint — an endpoint of a placed
-            // interval, possibly shifted left by this access's duration.
-            // Evaluating only those candidates (ascending, strict
-            // improvement, early exit on zero) picks exactly the cycle a
-            // full per-cycle scan would.
-            let mut cands: Vec<u64> = Vec::with_capacity(4 * placed.len() + 2);
-            cands.push(earliest);
-            cands.push(alap[i]);
-            for p in &placed {
-                for c in [
-                    Some(p.start),
-                    Some(p.end()),
-                    p.start.checked_sub(dur[i]),
-                    p.end().checked_sub(dur[i]),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if c > earliest && c < alap[i] {
-                        cands.push(c);
-                    }
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            let mut best_cost = f64::INFINITY;
-            for &s in &cands {
-                let cost = placement_cost(&placed, &occupant, s, dur[i]);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = s;
-                    if cost == 0.0 {
-                        break;
-                    }
+        let mut stack: Vec<usize> = (0..n).rev().filter(|&i| indeg[i] == 0).collect();
+        let mut topo = Vec::with_capacity(n);
+        while let Some(i) = stack.pop() {
+            topo.push(i);
+            for &j in &succs[i] {
+                indeg[j] -= 1;
+                if indeg[j] == 0 {
+                    stack.push(j);
                 }
             }
         }
-        start[i] = best;
-        placement_of[i] = placed.len();
-        placed.push(PlacedAccess {
-            occupant,
-            start: best,
-            duration: dur[i],
-        });
-    }
-    // Report placements in access order, not topological order.
-    let mut placements = Vec::with_capacity(n);
-    for i in 0..n {
-        placements.push(placed[placement_of[i]]);
-    }
-    Ok(BodySchedule::new(
-        nest.id(),
-        nest.name().to_owned(),
-        nest.iterations(),
-        budget,
-        placements,
-    ))
-}
+        debug_assert_eq!(topo.len(), n);
 
-fn topo_order(nest: &LoopNest) -> Vec<usize> {
-    let n = nest.accesses().len();
-    let mut indeg = vec![0usize; n];
-    for e in nest.dependencies() {
-        indeg[e.to.index()] += 1;
-    }
-    let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    stack.reverse(); // deterministic: prefer low indices first
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = stack.pop() {
-        order.push(i);
-        for e in nest.dependencies().iter().filter(|e| e.from.index() == i) {
-            let j = e.to.index();
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                stack.push(j);
+        let mut asap = vec![0u64; n];
+        for &i in &topo {
+            for &j in &succs[i] {
+                asap[j] = asap[j].max(asap[i] + dur[i]);
             }
         }
+        let mut tail = dur.clone();
+        for &i in topo.iter().rev() {
+            for &j in &succs[i] {
+                tail[i] = tail[i].max(dur[i] + tail[j]);
+            }
+        }
+        let critical_path = (0..n).map(|i| asap[i] + dur[i]).max().unwrap_or(0);
+        let serial = dur.iter().sum();
+        let max_dur = dur.iter().copied().max().unwrap_or(0);
+        BodyPlan {
+            nest,
+            dur,
+            occupants,
+            preds,
+            topo,
+            asap,
+            tail,
+            critical_path,
+            serial,
+            max_dur,
+        }
     }
-    debug_assert_eq!(order.len(), n);
-    order
+
+    fn body_schedule(&self, budget: u64, balance: bool) -> Result<BodySchedule, ExploreError> {
+        let schedule = self.schedule(budget, balance)?;
+        Ok(self.body(budget, schedule))
+    }
+
+    fn body(&self, budget: u64, schedule: Schedule) -> BodySchedule {
+        BodySchedule::new(
+            self.nest.id(),
+            self.nest.name().to_owned(),
+            self.nest.iterations(),
+            budget,
+            schedule.placements,
+        )
+    }
+
+    /// Places every access within `budget` cycles: balanced (least added
+    /// pressure, earliest on ties) or packed as soon as possible.
+    fn schedule(&self, budget: u64, balance: bool) -> Result<Schedule, ExploreError> {
+        if self.critical_path > budget {
+            return Err(ExploreError::BudgetTooTight {
+                nest: self.nest.name().to_owned(),
+                required: self.critical_path,
+                available: budget,
+            });
+        }
+        let n = self.dur.len();
+        // Placed intervals, sorted by start, so the intervals that can
+        // overlap a window form one contiguous run.
+        let mut placed: Vec<PlacedAccess> = Vec::with_capacity(n);
+        let mut start = vec![0u64; n];
+        let mut pressure = 0.0;
+        let mut cands: Vec<u64> = Vec::new();
+        for &i in &self.topo {
+            let occupant = self.occupants[i];
+            let dur = self.dur[i];
+            let alap = budget - self.tail[i];
+            // Earliest start after scheduled predecessors.
+            let earliest = self.preds[i]
+                .iter()
+                .fold(self.asap[i], |e, &p| e.max(start[p] + self.dur[p]));
+            debug_assert!(earliest <= alap, "window collapsed for access {i}");
+            let mut best = earliest;
+            let mut best_cost = self.placement_cost(&placed, &occupant, earliest, dur);
+            if balance && best_cost > 0.0 {
+                // The overlap cost is piecewise linear in the start
+                // cycle; its leftmost minimizer over [earliest, alap] is
+                // either a window endpoint or a breakpoint — an endpoint
+                // of a placed interval, possibly shifted left by this
+                // access's duration. Evaluating only those candidates
+                // (ascending, strict improvement, early exit on zero)
+                // picks exactly the cycle a full per-cycle scan would.
+                // Only intervals starting in (earliest - max_dur,
+                // alap + dur) have a breakpoint strictly inside the
+                // window.
+                cands.clear();
+                cands.push(alap);
+                let near = self.overlapping(&placed, earliest, alap.saturating_add(dur));
+                for p in near {
+                    for c in [
+                        Some(p.start),
+                        Some(p.end()),
+                        p.start.checked_sub(dur),
+                        p.end().checked_sub(dur),
+                    ]
+                    .into_iter()
+                    .flatten()
+                    {
+                        if c > earliest && c < alap {
+                            cands.push(c);
+                        }
+                    }
+                }
+                cands.sort_unstable();
+                cands.dedup();
+                for &s in &cands {
+                    let cost = self.placement_cost(&placed, &occupant, s, dur);
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = s;
+                        if cost == 0.0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            // Each pair of accesses is counted once, when the later one
+            // is placed, which is exactly what `BodySchedule::pressure`
+            // sums cycle by cycle.
+            pressure += best_cost;
+            start[i] = best;
+            let at = placed.partition_point(|p| p.start <= best);
+            placed.insert(
+                at,
+                PlacedAccess {
+                    occupant,
+                    start: best,
+                    duration: dur,
+                },
+            );
+        }
+        // Report placements in access order, not placement order.
+        let placements = (0..n)
+            .map(|i| PlacedAccess {
+                occupant: self.occupants[i],
+                start: start[i],
+                duration: self.dur[i],
+            })
+            .collect();
+        Ok(Schedule {
+            placements,
+            pressure,
+        })
+    }
+
+    /// The placed intervals (sorted by start) that may overlap
+    /// `[lo, hi)`: those with `start + max_dur > lo` and `start < hi`.
+    fn overlapping<'p>(&self, placed: &'p [PlacedAccess], lo: u64, hi: u64) -> &'p [PlacedAccess] {
+        let first = placed.partition_point(|p| p.start.saturating_add(self.max_dur) <= lo);
+        let last = placed.partition_point(|p| p.start < hi);
+        placed.get(first..last).unwrap_or_default()
+    }
+
+    /// Overlap cost of starting `occupant` (duration `dur`) at cycle `s`
+    /// against the accesses placed so far. Only the intervals that can
+    /// overlap `[s, s + dur)` are visited. Every term is an integer
+    /// overlap times a multiple of 0.25, so the sum is exact in `f64`
+    /// and does not depend on the order the terms are added in.
+    fn placement_cost(
+        &self,
+        placed: &[PlacedAccess],
+        occupant: &Occupant,
+        s: u64,
+        dur: u64,
+    ) -> f64 {
+        let mut cost = 0.0;
+        for p in self.overlapping(placed, s, s + dur) {
+            let lo = s.max(p.start);
+            let hi = (s + dur).min(p.end());
+            if hi > lo {
+                cost += (hi - lo) as f64 * pair_cost(&p.occupant, occupant);
+            }
+        }
+        cost
+    }
 }
 
 /// Distributes the spec's storage cycle budget over its loop bodies (see
@@ -479,23 +601,44 @@ pub fn distribute(spec: &AppSpec) -> Result<ScbdResult, ExploreError> {
 /// Returns [`ExploreError::BudgetTooTight`] if even the per-body
 /// critical paths do not fit the global budget.
 pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-    let nests: Vec<&LoopNest> = spec
+    let (plans, used) = critical_path_plans(spec, budget)?;
+    let bodies = plans
+        .iter()
+        .map(|plan| plan.body_schedule(plan.critical_path, false))
+        .collect::<Result<_, _>>()?;
+    Ok(ScbdResult {
+        bodies,
+        used_cycles: used,
+        total_budget: budget,
+    })
+}
+
+/// The plan of every non-empty body, and the global cycles their
+/// critical paths use.
+///
+/// # Errors
+///
+/// Returns [`ExploreError::BudgetTooTight`], naming the heaviest body,
+/// if the critical paths do not fit `budget`.
+fn critical_path_plans(
+    spec: &AppSpec,
+    budget: u64,
+) -> Result<(Vec<BodyPlan<'_>>, u64), ExploreError> {
+    let plans: Vec<BodyPlan> = spec
         .loop_nests()
         .iter()
         .filter(|n| !n.accesses().is_empty())
+        .map(|n| BodyPlan::new(spec, n))
         .collect();
-    let budgets: Vec<u64> = nests.iter().map(|n| body_critical_path(spec, n)).collect();
-    let used: u64 = nests
+    let used: u64 = plans
         .iter()
-        .zip(&budgets)
-        .map(|(n, &b)| n.iterations() * b)
+        .map(|p| p.nest.iterations() * p.critical_path)
         .sum();
     if used > budget {
-        let worst = nests
+        let worst = plans
             .iter()
-            .zip(&budgets)
-            .max_by_key(|(n, &b)| n.iterations() * b)
-            .map(|(n, _)| n.name().to_owned())
+            .max_by_key(|p| p.nest.iterations() * p.critical_path)
+            .map(|p| p.nest.name().to_owned())
             .unwrap_or_default();
         return Err(ExploreError::BudgetTooTight {
             nest: worst,
@@ -503,16 +646,48 @@ pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, Explor
             available: budget,
         });
     }
-    let bodies = nests
-        .iter()
-        .zip(&budgets)
-        .map(|(n, &b)| schedule_body_asap(spec, n, b))
-        .collect::<Result<_, _>>()?;
-    Ok(ScbdResult {
-        bodies,
-        used_cycles: used,
-        total_budget: budget,
-    })
+    Ok((plans, used))
+}
+
+/// One body during the marginal-relief loop: its granted budget, its
+/// schedule at that budget, and the candidate schedules above it that
+/// earlier rounds already computed.
+struct Grantee<'a> {
+    plan: BodyPlan<'a>,
+    budget: u64,
+    current: Schedule,
+    /// Candidates keyed by absolute body budget, all above `budget`;
+    /// at most [`GRANT_LOOKAHEAD`] of them.
+    lookahead: Vec<(u64, Schedule)>,
+}
+
+impl Grantee<'_> {
+    /// Pressure of the candidate schedule at body budget `budget`,
+    /// computed on first use and kept until a grant passes it.
+    fn candidate_pressure(&mut self, budget: u64) -> Result<f64, ExploreError> {
+        if let Some((_, kept)) = self.lookahead.iter().find(|(b, _)| *b == budget) {
+            return Ok(kept.pressure);
+        }
+        let candidate = self.plan.schedule(budget, true)?;
+        let pressure = candidate.pressure;
+        self.lookahead.push((budget, candidate));
+        Ok(pressure)
+    }
+
+    /// Grants `extra` cycles: the candidate at the new budget becomes
+    /// the schedule, and candidates at or below it are dropped.
+    fn grant(&mut self, extra: u64) -> Result<(), ExploreError> {
+        self.budget += extra;
+        let budget = self.budget;
+        // The granted budget was scored this round, so its candidate is
+        // kept; scheduling it afresh would give the same schedule.
+        self.current = match self.lookahead.iter().position(|(b, _)| *b == budget) {
+            Some(at) => self.lookahead.swap_remove(at).1,
+            None => self.plan.schedule(budget, true)?,
+        };
+        self.lookahead.retain(|(b, _)| *b > budget);
+        Ok(())
+    }
 }
 
 /// Like [`distribute`], but with an explicit global budget — the knob
@@ -528,89 +703,86 @@ pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, Explor
 /// Returns [`ExploreError::BudgetTooTight`] if the budget is below the
 /// sum of per-body critical paths.
 pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-    let nests: Vec<&LoopNest> = spec
-        .loop_nests()
-        .iter()
-        .filter(|n| !n.accesses().is_empty())
-        .collect();
-    // Start at the critical-path minimum per body.
-    let mut budgets: Vec<u64> = nests.iter().map(|n| body_critical_path(spec, n)).collect();
-    let serial: Vec<u64> = nests
-        .iter()
-        .map(|n| n.accesses().iter().map(|a| access_duration(spec, a)).sum())
-        .collect();
-    let mut used: u64 = nests
-        .iter()
-        .zip(&budgets)
-        .map(|(n, &b)| n.iterations() * b)
-        .sum();
-    if used > budget {
-        // Report the heaviest body for diagnosis.
-        let worst = nests
-            .iter()
-            .zip(&budgets)
-            .max_by_key(|(n, &b)| n.iterations() * b)
-            .map(|(n, _)| n.name().to_owned())
-            .unwrap_or_default();
-        return Err(ExploreError::BudgetTooTight {
-            nest: worst,
-            required: used,
-            available: budget,
-        });
-    }
+    let (bodies, used) = grantees(spec, budget)?;
+    relieve(bodies, used, budget)
+}
 
-    let mut schedules: Vec<BodySchedule> = nests
-        .iter()
-        .zip(&budgets)
-        .map(|(n, &b)| schedule_body(spec, n, b))
-        .collect::<Result<_, _>>()?;
-    let mut pressures: Vec<f64> = schedules.iter().map(BodySchedule::pressure).collect();
+/// Every non-empty body at its critical-path minimum budget, and the
+/// global cycles those budgets use.
+fn grantees(spec: &AppSpec, budget: u64) -> Result<(Vec<Grantee<'_>>, u64), ExploreError> {
+    let (plans, used) = critical_path_plans(spec, budget)?;
+    let bodies = plans
+        .into_iter()
+        .map(|plan| {
+            let current = plan.schedule(plan.critical_path, true)?;
+            Ok(Grantee {
+                budget: plan.critical_path,
+                plan,
+                current,
+                lookahead: Vec::with_capacity(GRANT_LOOKAHEAD as usize),
+            })
+        })
+        .collect::<Result<_, ExploreError>>()?;
+    Ok((bodies, used))
+}
 
-    // Greedy marginal-relief loop: grant extra cycles to the body with
-    // the best pressure relief per global-budget cycle. A small
-    // lookahead (several cycles at once) escapes plateaus where one
-    // extra cycle alone does not reduce pressure yet.
+/// Greedy marginal-relief loop: grants extra cycles to the body with the
+/// best pressure relief per global-budget cycle until no grant relieves
+/// anything. A small lookahead (several cycles at once) escapes plateaus
+/// where one extra cycle alone does not reduce pressure yet. Candidates
+/// are kept across rounds (see "Incremental grants" in the module docs).
+fn relieve(
+    mut bodies: Vec<Grantee<'_>>,
+    mut used: u64,
+    budget: u64,
+) -> Result<ScbdResult, ExploreError> {
     loop {
-        let mut best: Option<(usize, u64, BodySchedule, f64)> = None;
-        for (i, nest) in nests.iter().enumerate() {
-            if pressures[i] == 0.0 {
+        let mut best: Option<(usize, u64, f64)> = None;
+        for (i, body) in bodies.iter_mut().enumerate() {
+            let pressure = body.current.pressure;
+            if pressure == 0.0 {
                 continue;
             }
-            let step = nest.iterations();
+            let step = body.plan.nest.iterations();
             let max_extra = GRANT_LOOKAHEAD
-                .min(serial[i].saturating_sub(budgets[i]))
+                .min(body.plan.serial.saturating_sub(body.budget))
                 .min(budget.saturating_sub(used) / step.max(1));
             for extra in 1..=max_extra {
-                let candidate = schedule_body(spec, nest, budgets[i] + extra)?;
-                let relief = (pressures[i] - candidate.pressure()) * step as f64;
+                let candidate = body.candidate_pressure(body.budget + extra)?;
+                let relief = (pressure - candidate) * step as f64;
                 let relief_per_cycle = relief / (extra * step) as f64;
                 if relief_per_cycle > 0.0
                     && best
                         .as_ref()
-                        .map(|(_, _, _, r)| relief_per_cycle > *r)
+                        .map(|(_, _, r)| relief_per_cycle > *r)
                         .unwrap_or(true)
                 {
-                    best = Some((i, extra, candidate, relief_per_cycle));
+                    best = Some((i, extra, relief_per_cycle));
                 }
             }
         }
         match best {
-            Some((i, extra, candidate, _)) => {
-                budgets[i] += extra;
-                used += extra * nests[i].iterations();
-                pressures[i] = candidate.pressure();
-                schedules[i] = candidate;
+            Some((i, extra, _)) => {
+                used += extra * bodies[i].plan.nest.iterations();
+                bodies[i].grant(extra)?;
             }
             None => break,
         }
     }
 
     Ok(ScbdResult {
-        bodies: schedules,
+        bodies: bodies
+            .into_iter()
+            .map(|body| body.plan.body(body.budget, body.current))
+            .collect(),
         used_cycles: used,
         total_budget: budget,
     })
 }
+
+// Test-only (`#![cfg(test)]`): the naive scheduler the one above must
+// match bit for bit, and the differential tests that check it.
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
 //! memx-serve: a resident exploration daemon behind a typed request API.
 //!
 //! The offline binaries pay the full engine + cache warm-up cost on
-//! every invocation. This crate keeps one [`memx_core::Engine`]
-//! configuration and one warm [`memx_core::EvalCache`] resident behind
+//! every invocation. This crate keeps one [`Engine`](memx_core::engine::Engine)
+//! configuration and one warm [`EvalCache`](memx_core::cache::EvalCache) resident behind
 //! a small HTTP/1.1 + JSON protocol, so repeated exploration batches
 //! (interactive sweeps, CI smoke passes) reuse everything the previous
 //! request computed.

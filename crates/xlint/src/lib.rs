@@ -159,7 +159,8 @@ fn is_ident_char(c: char) -> bool {
 
 /// Strips `source` down to lintable code: comments and literal
 /// contents are blanked (quotes kept so token boundaries survive),
-/// `#[cfg(test)]` regions and `mod tests` bodies are emptied, and
+/// `#[cfg(test)]` regions, `mod tests` bodies and `#![cfg(test)]` files
+/// are emptied, and
 /// `memx-lint:` comment directives are collected.
 pub fn strip(source: &str) -> Stripped {
     let chars: Vec<char> = source.chars().collect();
@@ -352,8 +353,19 @@ fn hashes_follow(chars: &[char], mut i: usize, n: u32) -> bool {
 }
 
 /// Empties every line belonging to a `#[cfg(test)]` item or a
-/// `mod tests { ... }` body, by brace-counting the blanked code.
+/// `mod tests { ... }` body, by brace-counting the blanked code. A file
+/// carrying the inner attribute `#![cfg(test)]` (a test-only module in a
+/// file of its own) is emptied as a whole.
 fn mask_test_regions(code: &mut [String], comments: &mut [String]) {
+    if code
+        .iter()
+        .any(|l| l.trim_start().starts_with("#![cfg(test)]"))
+    {
+        code.iter_mut()
+            .chain(comments.iter_mut())
+            .for_each(String::clear);
+        return;
+    }
     let mut line = 0;
     while line < code.len() {
         let start_col = if let Some(col) = code[line].find("#[cfg(test)]") {

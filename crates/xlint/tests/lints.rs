@@ -223,6 +223,22 @@ mod tests {\n\
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
+#[test]
+fn a_file_marked_cfg_test_is_invisible() {
+    let body = "\
+use std::collections::HashMap;\n\
+pub fn f(v: &[u32]) -> u32 {\n\
+    let _: HashMap<u32, u32> = HashMap::new();\n\
+    v.first().copied().unwrap()\n\
+}\n";
+    let cfg = Config::workspace();
+    let plain = lint_file("crates/core/src/fake/reference.rs", body, &cfg);
+    assert!(!plain.findings.is_empty());
+    let marked = format!("//! A test-only module.\n\n#![cfg(test)]\n\n{body}");
+    let report = lint_file("crates/core/src/fake/reference.rs", &marked, &cfg);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+}
+
 fn revision_cfg() -> Config {
     Config {
         fingerprinted: vec![(
