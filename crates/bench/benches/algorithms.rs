@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memx_bench::experiments::{self, RunKnobs};
-use memx_core::alloc::{assign, AllocOptions};
+use memx_core::alloc::{assign_with_stats, AllocOptions};
 use memx_core::{macp, scbd};
 use memx_memlib::MemLibrary;
 
@@ -56,13 +56,14 @@ fn bench_alloc(c: &mut Criterion) {
                 ..AllocOptions::default()
             };
             b.iter(|| {
-                assign(std::hint::black_box(&spec), &schedule, &lib, &options).expect("assignable")
+                assign_with_stats(std::hint::black_box(&spec), &schedule, &lib, &options)
+                    .expect("assignable")
             })
         });
     }
     group.bench_function("assign/sweep", |b| {
         b.iter(|| {
-            assign(
+            assign_with_stats(
                 std::hint::black_box(&spec),
                 &schedule,
                 &lib,

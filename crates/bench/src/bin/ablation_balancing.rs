@@ -9,12 +9,13 @@
 //! altogether.
 
 use memx_bench::experiments;
-use memx_core::alloc::assign_with_stats_cached;
+use memx_core::alloc::assign_with_stats;
 use memx_core::scbd;
 use memx_core::scbd::BodySchedule;
 
 fn main() {
     let ctx = experiments::context(experiments::RunKnobs::from_env());
+    let eval_ctx = ctx.eval_ctx();
     let spec = experiments::best_hierarchy_spec(&ctx).expect("transforms valid");
     let budget = experiments::CYCLE_BUDGET;
 
@@ -26,7 +27,7 @@ fn main() {
             // The balanced path is exactly what the cache stores; the
             // ASAP baseline is a different algorithm and stays uncached.
             "balanced (paper)",
-            memx_core::cache::distribute_cached(&spec, budget, ctx.cache.as_deref()),
+            eval_ctx.distribute(&spec, budget),
         ),
         ("ASAP packed", scbd::distribute_asap(&spec, budget)),
     ] {
@@ -45,13 +46,7 @@ fn main() {
                 // Both arms share the allocation cache: the assignment
                 // step is identical, only its input schedule differs
                 // (and so, via the instance fingerprint, its cache key).
-                match assign_with_stats_cached(
-                    &spec,
-                    &schedule,
-                    &ctx.lib,
-                    &ctx.alloc,
-                    ctx.cache.as_deref(),
-                ) {
+                match assign_with_stats(&spec, &schedule, eval_ctx, &ctx.alloc) {
                     Ok((org, _)) => println!(
                         "-> {} (off-chip ports {})",
                         org.cost,

@@ -7,7 +7,7 @@
 //! compares the outcome with the manual winner.
 
 use memx_bench::experiments;
-use memx_core::explore::evaluate_with_cache;
+use memx_core::explore::evaluate;
 use memx_core::reuse;
 
 fn main() {
@@ -44,14 +44,11 @@ fn main() {
     }
 
     let options = ctx.options();
-    let cache = ctx.cache.as_deref();
-    let baseline =
-        evaluate_with_cache(&merged, &ctx.lib, cache, &options).expect("baseline evaluates");
+    let baseline = evaluate(&merged, ctx.eval_ctx(), &options).expect("baseline evaluates");
     let (auto_spec, auto_report) =
         reuse::auto_hierarchy(&merged, &ctx.lib, &options).expect("auto decision runs");
     let manual_spec = experiments::best_hierarchy_spec(&ctx).expect("manual winner builds");
-    let manual =
-        evaluate_with_cache(&manual_spec, &ctx.lib, cache, &options).expect("manual evaluates");
+    let manual = evaluate(&manual_spec, ctx.eval_ctx(), &options).expect("manual evaluates");
 
     println!("\n{:<26} {}", "no hierarchy:", baseline.cost);
     println!("{:<26} {}", "manual (paper, ylocal):", manual.cost);
@@ -70,5 +67,5 @@ fn main() {
             added.join(", ")
         }
     );
-    experiments::print_cache_stat_lines(cache);
+    experiments::print_cache_stat_lines(ctx.cache.as_deref());
 }

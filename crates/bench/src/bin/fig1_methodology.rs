@@ -6,7 +6,7 @@
 //! the accurate cost feedback at every leaf, plus the chosen path.
 
 use memx_bench::experiments::{self, CYCLE_BUDGET};
-use memx_core::explore::{evaluate_with_cache, EvaluateOptions};
+use memx_core::explore::{evaluate, EvaluateOptions};
 use memx_core::hierarchy::apply_hierarchy;
 use memx_core::structuring::{compact, merge};
 
@@ -71,7 +71,7 @@ fn main() {
                     cycle_budget: Some(CYCLE_BUDGET - extra),
                     alloc: ctx.alloc.clone(),
                 };
-                match evaluate_with_cache(hspec, &ctx.lib, ctx.cache.as_deref(), &options) {
+                match evaluate(hspec, ctx.eval_ctx(), &options) {
                     Ok(report) => {
                         evaluated += 1;
                         let scalar = report.cost.scalar(1.0, 1.0);

@@ -13,7 +13,8 @@
 //! like every other binary; only the stderr counters move.
 
 use memx_bench::experiments;
-use memx_core::alloc::{assign_with_stats_cached, AllocOptions, MemoryKind};
+use memx_core::alloc::{assign_with_stats, AllocOptions, MemoryKind};
+use memx_core::cache::EvalCtx;
 use memx_core::scbd;
 
 fn main() {
@@ -37,7 +38,11 @@ fn main() {
         ..AllocOptions::default()
     };
     let cache = knobs.cache;
-    let result = assign_with_stats_cached(&spec, &schedule, &lib, &options, cache.as_deref());
+    let ctx = EvalCtx {
+        lib: &lib,
+        cache: cache.as_deref(),
+    };
+    let result = assign_with_stats(&spec, &schedule, ctx, &options);
     let (org, stats) = match result {
         Ok(r) => r,
         Err(e) => {
@@ -67,6 +72,6 @@ fn main() {
         "total off-chip power [mW]: {:.3}",
         org.cost.off_chip_power_mw
     );
-    experiments::print_alloc_stat_lines_from_stats([stats]);
+    experiments::print_alloc_stat_lines([stats]);
     experiments::print_cache_stat_lines(cache.as_deref());
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use memx_btpc::spec::{btpc_app_spec, measure_profile, BtpcSpec};
 use memx_core::alloc::{AllocOptions, AllocStats};
-use memx_core::cache::EvalCache;
+use memx_core::cache::{EvalCache, EvalCtx};
 use memx_core::engine::{auto_workers, parallel_map, DesignPoint, Engine};
 use memx_core::explore::{CostReport, EvaluateOptions, Exploration};
 use memx_core::hierarchy::{apply_hierarchy, HierarchyLayer};
@@ -156,14 +156,11 @@ impl RunKnobs {
 /// format: the table binaries must not hand-roll these lines, or a
 /// label tweak applied to one binary but not the other would leave the
 /// bench JSON with empty fields.
-pub fn print_alloc_stat_lines<'a>(reports: impl IntoIterator<Item = &'a CostReport>) {
-    print_alloc_stat_lines_from_stats(reports.into_iter().map(|r| r.alloc_stats));
-}
-
-/// [`print_alloc_stat_lines`] over bare [`AllocStats`] values — what the
-/// streaming table binaries accumulate (stats are `Copy`, so a row's
-/// counters outlive the report it came from).
-pub fn print_alloc_stat_lines_from_stats(stats: impl IntoIterator<Item = AllocStats>) {
+///
+/// Takes bare [`AllocStats`] values — what the streaming table binaries
+/// accumulate (stats are `Copy`, so a row's counters outlive the report
+/// it came from).
+pub fn print_alloc_stat_lines(stats: impl IntoIterator<Item = AllocStats>) {
     let mut nodes = 0u64;
     let mut off_nodes = 0u64;
     let mut off_exhaustive = 0u64;
@@ -234,6 +231,15 @@ impl PaperContext {
         EvaluateOptions {
             cycle_budget: None,
             alloc: self.alloc.clone(),
+        }
+    }
+
+    /// The evaluation context of this run: the library plus the
+    /// persistent cache, when the context carries one.
+    pub fn eval_ctx(&self) -> EvalCtx<'_> {
+        EvalCtx {
+            lib: &self.lib,
+            cache: self.cache.as_deref(),
         }
     }
 
@@ -469,22 +475,24 @@ pub fn paper_extras() -> Vec<u64> {
 /// Table 3 15.7 % row.
 ///
 /// The probe budgets (1 % steps of [`CYCLE_BUDGET`], up to 39 %) are
-/// distributed through `cache` when one is given, in ascending chunks of
-/// `workers` budgets (`0` = one per core), each chunk fanned over the
-/// worker pool. The scan stops at the first forced-multiport budget in
-/// budget order, so the answer does not depend on `workers`; with one
-/// worker the chunks hold one budget each and no thread is spawned.
+/// distributed through `ctx` (so through its cache when one is
+/// attached), in ascending chunks of `workers` budgets (`0` = one per
+/// core), each chunk fanned over the worker pool. The scan stops at the
+/// first forced-multiport budget in budget order, so the answer does not
+/// depend on `workers`; with one worker the chunks hold one budget each
+/// and no thread is spawned.
 ///
 /// # Errors
 ///
 /// Propagates scheduling errors, except that a too-tight budget is not
 /// one: it ends the scan, and the last budget without forced multiport
 /// is returned.
-pub fn on_chip_crossover_extra_cached(
+pub fn on_chip_crossover_extra_cached<'a>(
     spec: &AppSpec,
-    cache: Option<&EvalCache>,
+    ctx: impl Into<EvalCtx<'a>>,
     workers: usize,
 ) -> Result<u64, ExploreError> {
+    let ctx = ctx.into();
     let step = CYCLE_BUDGET / 100;
     let extras: Vec<u64> = (0..CYCLE_BUDGET * 2 / 5).step_by(step as usize).collect();
     let chunk = match workers {
@@ -500,7 +508,7 @@ pub fn on_chip_crossover_extra_cached(
     let mut last_free = 0;
     for probes in extras.chunks(chunk) {
         let outcomes = parallel_map(probes, chunk, |_, &extra| {
-            memx_core::cache::distribute_cached(spec, CYCLE_BUDGET - extra, cache)
+            ctx.distribute(spec, CYCLE_BUDGET - extra)
                 .map(|result| forced_multiport(&result))
         });
         for (&extra, outcome) in probes.iter().zip(outcomes) {
@@ -527,7 +535,7 @@ pub fn on_chip_crossover_extra_cached(
 /// Propagates transform and scheduling errors.
 pub fn extended_extras(ctx: &PaperContext) -> Result<Vec<u64>, ExploreError> {
     let spec = best_hierarchy_spec(ctx)?;
-    let crossover = on_chip_crossover_extra_cached(&spec, ctx.cache.as_deref(), ctx.workers)?;
+    let crossover = on_chip_crossover_extra_cached(&spec, ctx.eval_ctx(), ctx.workers)?;
     let mut extras = paper_extras();
     for delta in [-2i64, 0, 2, 4, 6, 8, 10] {
         let extra = crossover as i64 + delta * (CYCLE_BUDGET / 100) as i64;
@@ -578,9 +586,10 @@ pub fn table4_stream(
     mut on_row: impl FnMut(AllocationRow),
 ) -> Result<(), ExploreError> {
     let spec = best_hierarchy_spec(ctx)?;
-    let budget = CYCLE_BUDGET - 3_133_568; // the paper's 15.7 % working point
-                                           // Every point shares (spec, budget): the engine schedules once and
-                                           // fans only the allocation searches over the workers.
+    // The paper's 15.7 % working point. Every point shares (spec,
+    // budget): the engine schedules once and fans only the allocation
+    // searches over the workers.
+    let budget = CYCLE_BUDGET - 3_133_568;
     let points: Vec<DesignPoint> = counts
         .iter()
         .map(|&k| {

@@ -4,6 +4,7 @@
 use memx_bench::experiments::{self, RunKnobs, CYCLE_BUDGET};
 use memx_core::engine::thread_spawns_on_current_thread;
 use memx_ir::{AccessKind, AppSpecBuilder};
+use memx_memlib::MemLibrary;
 
 #[test]
 fn extended_extras_do_not_depend_on_the_worker_count() {
@@ -46,9 +47,10 @@ fn a_too_tight_budget_ends_the_scan() {
     b.depend(n, r, w).unwrap();
     b.cycle_budget(CYCLE_BUDGET);
     let spec = b.build().unwrap();
+    let lib = MemLibrary::default_07um();
     for workers in [1, 3, 8] {
         assert_eq!(
-            experiments::on_chip_crossover_extra_cached(&spec, None, workers).unwrap(),
+            experiments::on_chip_crossover_extra_cached(&spec, &lib, workers).unwrap(),
             1_400_000,
             "workers: {workers}"
         );

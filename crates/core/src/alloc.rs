@@ -209,7 +209,7 @@ use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId, Placement};
 use memx_memlib::{timing, CostBreakdown, MemLibrary, OffChipSelection, OnChipSpec};
 
-use crate::cache::{self, EvalCache};
+use crate::cache::{self, EvalCache, EvalCtx};
 use crate::engine::parallel_map;
 use crate::fan::{above_with_slack, fan_subtrees, Incumbent, SubtreeSearch, TARGET_SUBTREES};
 use crate::scbd::ScbdResult;
@@ -599,10 +599,20 @@ fn off_chip_blocks_fingerprint(
     h.finish()
 }
 
-/// Allocates memories and assigns every accessed basic group.
+/// Allocates memories and assigns every accessed basic group, also
+/// reporting the search-effort counters of the run (see [`AllocStats`]).
 ///
 /// Groups without any access are treated as foreground (scalar-level)
 /// data and skipped, as the paper's pruning step prescribes.
+///
+/// With a cache in `ctx`, a valid allocation entry short-circuits the
+/// whole branch-and-bound, replaying the stored [`Organization`] *and*
+/// [`AllocStats`] bit-identically (so node-count telemetry reports what
+/// the stored solve actually cost, not a free lunch). On a miss the
+/// solver runs as usual — pre-seeding its off-chip block pricer from a
+/// cached catalog when one exists — and the solution is stored for the
+/// next process. Errors are never cached. Pass `&lib` for an uncached
+/// run.
 ///
 /// # Errors
 ///
@@ -612,50 +622,15 @@ fn off_chip_blocks_fingerprint(
 /// negative scalarization weights,
 /// [`ExploreError::TooManyOffChipGroups`] when the off-chip partition
 /// enumeration would be intractable, and [`ExploreError::Part`] if no
-/// off-chip part covers a group.
-pub fn assign(
+/// off-chip part covers a group. The cache itself never fails an
+/// assignment.
+pub fn assign_with_stats<'a>(
     spec: &AppSpec,
     scbd: &ScbdResult,
-    lib: &MemLibrary,
-    options: &AllocOptions,
-) -> Result<Organization, ExploreError> {
-    assign_with_stats(spec, scbd, lib, options).map(|(org, _)| org)
-}
-
-/// [`assign`], additionally reporting the search-effort counters of the
-/// run (see [`AllocStats`]).
-///
-/// # Errors
-///
-/// As for [`assign`].
-pub fn assign_with_stats(
-    spec: &AppSpec,
-    scbd: &ScbdResult,
-    lib: &MemLibrary,
+    ctx: impl Into<EvalCtx<'a>>,
     options: &AllocOptions,
 ) -> Result<(Organization, AllocStats), ExploreError> {
-    assign_with_stats_cached(spec, scbd, lib, options, None)
-}
-
-/// [`assign_with_stats`] with an optional persistent cache: a valid
-/// allocation entry short-circuits the whole branch-and-bound, replaying
-/// the stored [`Organization`] *and* [`AllocStats`] bit-identically (so
-/// node-count telemetry reports what the stored solve actually cost,
-/// not a free lunch). On a miss the solver runs as usual — pre-seeding
-/// its off-chip block pricer from a cached catalog when one exists —
-/// and the solution is stored for the next process. Errors are never
-/// cached.
-///
-/// # Errors
-///
-/// As for [`assign`]; the cache itself never fails an assignment.
-pub fn assign_with_stats_cached(
-    spec: &AppSpec,
-    scbd: &ScbdResult,
-    lib: &MemLibrary,
-    options: &AllocOptions,
-    cache: Option<&EvalCache>,
-) -> Result<(Organization, AllocStats), ExploreError> {
+    let EvalCtx { lib, cache } = ctx.into();
     check_cost_weights(options.area_weight, options.power_weight)?;
     let traffic = group_traffic(spec);
     let time_s = spec.real_time_seconds();
@@ -752,14 +727,14 @@ pub fn assign_with_stats_cached(
     Ok((org, stats))
 }
 
-/// The [`cache::CacheKey`] under which [`assign_with_stats_cached`]
+/// The [`cache::CacheKey`] under which [`assign_with_stats`]
 /// would store this instance's solution — exposed for the cross-process
 /// cache tests, which need to hammer one concrete key.
 ///
 /// # Errors
 ///
 /// The key requires the accessed-group split, so an infeasible group
-/// layout errors exactly as [`assign`] would.
+/// layout errors exactly as [`assign_with_stats`] would.
 #[doc(hidden)]
 pub fn alloc_cache_key(
     spec: &AppSpec,
@@ -1593,8 +1568,8 @@ fn assign_off_chip(
 ///
 /// # Errors
 ///
-/// As for [`assign`] (minus the node-budget exhaustion signal, which the
-/// exhaustive scan does not have).
+/// As for [`assign_with_stats`] (minus the node-budget exhaustion
+/// signal, which the exhaustive scan does not have).
 ///
 /// # Panics
 ///
@@ -2519,7 +2494,7 @@ fn assign_on_chip(
 ///
 /// Returns [`ExploreError::BadCostWeights`] for invalid weights and
 /// [`ExploreError::NoFeasibleAssignment`] for group sets beyond the
-/// mask limits, mirroring [`assign`].
+/// mask limits, mirroring [`assign_with_stats`].
 #[doc(hidden)]
 pub fn root_lower_bounds(
     spec: &AppSpec,
@@ -2560,6 +2535,16 @@ mod tests {
 
     fn lib() -> MemLibrary {
         MemLibrary::default_07um()
+    }
+
+    /// The organization alone, for tests that ignore search effort.
+    fn assign_org(
+        spec: &AppSpec,
+        s: &ScbdResult,
+        lib: &MemLibrary,
+        options: &AllocOptions,
+    ) -> Result<Organization, ExploreError> {
+        assign_with_stats(spec, s, lib, options).map(|(org, _)| org)
     }
 
     /// Spec with several on-chip groups of differing widths plus one
@@ -2621,7 +2606,7 @@ mod tests {
     fn assignment_produces_positive_costs() {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
         assert!(org.cost.on_chip_area_mm2 > 0.0);
         assert!(org.cost.on_chip_power_mw > 0.0);
         assert!(org.cost.off_chip_power_mw > 0.0);
@@ -2638,7 +2623,7 @@ mod tests {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            let org = assign(&spec, &s, &lib(), &options).unwrap();
+            let org = assign_org(&spec, &s, &lib(), &options).unwrap();
             assert_eq!(org.on_chip_count(), k as usize, "k={k}");
         }
     }
@@ -2653,7 +2638,7 @@ mod tests {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            assign(&spec, &s, &lib(), &options)
+            assign_org(&spec, &s, &lib(), &options)
                 .unwrap()
                 .cost
                 .on_chip_power_mw
@@ -2669,7 +2654,7 @@ mod tests {
             on_chip_memories: Some(1),
             ..AllocOptions::default()
         };
-        let org = assign(&spec, &s, &lib(), &options).unwrap();
+        let org = assign_org(&spec, &s, &lib(), &options).unwrap();
         let on_chip = org
             .memories
             .iter()
@@ -2701,7 +2686,7 @@ mod tests {
             on_chip_memories: Some(1),
             ..AllocOptions::default()
         };
-        let org = assign(&spec, &s, &lib(), &options).unwrap();
+        let org = assign_org(&spec, &s, &lib(), &options).unwrap();
         let on_chip = org
             .memories
             .iter()
@@ -2713,7 +2698,7 @@ mod tests {
             on_chip_memories: Some(2),
             ..AllocOptions::default()
         };
-        let org2 = assign(&spec, &s, &lib(), &options2).unwrap();
+        let org2 = assign_org(&spec, &s, &lib(), &options2).unwrap();
         let max_ports = org2
             .memories
             .iter()
@@ -2728,14 +2713,14 @@ mod tests {
     fn sweep_finds_a_no_worse_organization_than_any_fixed_k() {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
-        let sweep = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let sweep = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
         let sweep_scalar = sweep.cost.scalar(1.0, 1.0);
         for k in 1..=3 {
             let options = AllocOptions {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            let fixed = assign(&spec, &s, &lib(), &options).unwrap();
+            let fixed = assign_org(&spec, &s, &lib(), &options).unwrap();
             assert!(sweep_scalar <= fixed.cost.scalar(1.0, 1.0) + 1e-9, "k={k}");
         }
     }
@@ -2751,7 +2736,7 @@ mod tests {
         b.cycle_budget(100_000).real_time_seconds(0.01);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
         assert_eq!(org.memories[0].ports, 2);
     }
 
@@ -2837,7 +2822,7 @@ mod tests {
         b.cycle_budget(1000);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
         let assigned: usize = org.memories.iter().map(|m| m.groups.len()).sum();
         assert_eq!(assigned, 1);
     }
@@ -2847,7 +2832,7 @@ mod tests {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
         for on_chip_memories in [None, Some(1), Some(2), Some(3)] {
-            let serial = assign(
+            let serial = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -2859,7 +2844,7 @@ mod tests {
             )
             .unwrap();
             for workers in [2, 4, 7] {
-                let parallel = assign(
+                let parallel = assign_org(
                     &spec,
                     &s,
                     &lib(),
@@ -2882,7 +2867,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-            let serial = assign(
+            let serial = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -2895,7 +2880,7 @@ mod tests {
             .unwrap();
             assert!(serial.off_chip_count() >= 1);
             for workers in [2, 8] {
-                let parallel = assign(
+                let parallel = assign_org(
                     &spec,
                     &s,
                     &lib(),
@@ -2919,7 +2904,7 @@ mod tests {
         // the search must still return the greedy incumbent (never an
         // error) and do so identically across runs and worker counts.
         let run = |workers: usize| {
-            assign(
+            assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -2948,7 +2933,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign(
+            assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -2973,7 +2958,7 @@ mod tests {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
         for on_chip_memories in [None, Some(1), Some(2), Some(3)] {
-            let solo = assign(
+            let solo = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -2984,7 +2969,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let pairwise = assign(
+            let pairwise = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -3060,7 +3045,7 @@ mod tests {
             assert!(solo <= pairwise + 1e-12, "k={k}");
             // Admissibility against the exact fixed-k optimum (the
             // sweep's on-chip memories only).
-            let org = assign(
+            let org = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -3101,7 +3086,7 @@ mod tests {
         b.cycle_budget(10_000);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let err = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
+        let err = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
         assert!(matches!(err, ExploreError::NoFeasibleAssignment { .. }));
         assert!(err.to_string().contains("mask limit"), "{err}");
     }
@@ -3117,7 +3102,7 @@ mod tests {
             (-1.0, 1.0),
             (1.0, -0.5),
         ] {
-            let err = assign(
+            let err = assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -3143,7 +3128,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         let before = crate::engine::thread_spawns_on_current_thread();
-        let org = assign(
+        let org = assign_org(
             &spec,
             &s,
             &lib(),
@@ -3166,7 +3151,7 @@ mod tests {
         let spec = plateau_off_chip_spec(10);
         let s = scbd::distribute(&spec).unwrap();
         let before = crate::engine::thread_spawns_on_current_thread();
-        assign(
+        assign_org(
             &spec,
             &s,
             &lib(),
@@ -3322,7 +3307,7 @@ mod tests {
         let spec = plateau_off_chip_spec(16);
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign(
+            assign_org(
                 &spec,
                 &s,
                 &lib(),
@@ -3440,7 +3425,7 @@ mod tests {
         // Disabling the rule restores the plateau: the same instance
         // exhausts even a budget comfortably above the dominance run's
         // entire node count.
-        let err = assign(
+        let err = assign_org(
             &spec,
             &s,
             &lib(),
@@ -3477,7 +3462,7 @@ mod tests {
             let s = scbd::distribute(spec).unwrap();
             for node_limit in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 600] {
                 let run = |workers: usize| {
-                    assign(
+                    assign_org(
                         spec,
                         &s,
                         &lib(),
@@ -3520,7 +3505,7 @@ mod tests {
             b.cycle_budget(100_000).real_time_seconds(time_s);
             let spec = b.build().unwrap();
             let s = scbd::distribute(&spec).unwrap();
-            let err = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
+            let err = assign_org(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
             assert_eq!(err, ExploreError::BadOffChipPricing { time_s });
             assert!(err.to_string().contains("real-time window"), "{err}");
         }
@@ -3556,12 +3541,15 @@ mod tests {
         };
         let tmp =
             std::env::temp_dir().join(format!("memx-worker-catalog-merge-{}", std::process::id()));
+        let lib = lib();
         let cold_catalog = |label: &str, workers: usize| {
             let dir = tmp.join(label);
             let cache = EvalCache::open(&dir).unwrap();
-            let (org, _) =
-                assign_with_stats_cached(&spec, &s, &lib(), &options(workers), Some(&cache))
-                    .unwrap();
+            let ctx = EvalCtx {
+                lib: &lib,
+                cache: Some(&cache),
+            };
+            let (org, _) = assign_with_stats(&spec, &s, ctx, &options(workers)).unwrap();
             assert!(org.off_chip_count() >= 1);
             assert_eq!(cache.stats().blocks_misses, 1, "{label} run must be cold");
             cache
@@ -3584,7 +3572,11 @@ mod tests {
             node_limit: AllocOptions::default().node_limit + 1,
             ..options(8)
         };
-        assign_with_stats_cached(&spec, &s, &lib(), &warm, Some(&cache)).unwrap();
+        let ctx = EvalCtx {
+            lib: &lib,
+            cache: Some(&cache),
+        };
+        assign_with_stats(&spec, &s, ctx, &warm).unwrap();
         assert_eq!(cache.stats().blocks_hits, 1);
         assert_eq!(cache.stats().blocks_misses, 0);
         std::fs::remove_dir_all(&tmp).ok();
@@ -3628,7 +3620,7 @@ mod tests {
         // pairwise searches agree on the exact optimum.
         for on_chip_memories in [None, Some(2)] {
             let cheap = scaled_lib(0.25);
-            let solo = assign(
+            let solo = assign_org(
                 &spec,
                 &s,
                 &cheap,
@@ -3639,7 +3631,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let pairwise = assign(
+            let pairwise = assign_org(
                 &spec,
                 &s,
                 &cheap,

@@ -12,7 +12,7 @@
 //! The store holds three kinds of entries, each in its own
 //! subdirectory with its own `kind` discriminant in the record header:
 //!
-//! * **SCBD schedules** ([`EvalCache::distribute`]) — the storage-cycle
+//! * **SCBD schedules** ([`EvalCtx::distribute`]) — the storage-cycle
 //!   budget distribution of one spec at one budget,
 //! * **allocation solutions** ([`EvalCache::load_alloc`]) — the full
 //!   [`crate::alloc::Organization`] *and* the [`crate::alloc::AllocStats`]
@@ -75,8 +75,9 @@
 //! # Example
 //!
 //! ```
-//! use memx_core::cache::EvalCache;
+//! use memx_core::cache::{EvalCache, EvalCtx};
 //! use memx_ir::{AccessKind, AppSpecBuilder};
+//! use memx_memlib::MemLibrary;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = AppSpecBuilder::new("demo");
@@ -87,9 +88,11 @@
 //! let spec = b.build()?;
 //!
 //! let dir = std::env::temp_dir().join("memx-cache-doc");
+//! let lib = MemLibrary::default_07um();
 //! let cache = EvalCache::open(&dir)?;
-//! let cold = cache.distribute(&spec, 10_000)?; // computes, then stores
-//! let warm = cache.distribute(&spec, 10_000)?; // served from disk
+//! let ctx = EvalCtx { lib: &lib, cache: Some(&cache) };
+//! let cold = ctx.distribute(&spec, 10_000)?; // computes, then stores
+//! let warm = ctx.distribute(&spec, 10_000)?; // served from disk
 //! assert_eq!(cold.total_budget, warm.total_budget);
 //! assert!(cache.stats().scbd_hits >= 1);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -475,35 +478,10 @@ impl EvalCache {
         }
     }
 
-    /// Distributes `spec`'s storage cycle budget like
-    /// [`scbd::distribute_with_budget`], serving the result from disk
-    /// when a valid entry exists and storing it otherwise. Hits are
-    /// bit-identical to recomputation.
-    ///
-    /// Errors ([`ExploreError::BudgetTooTight`]) are never cached: they
-    /// are cheap to rediscover and a budget that fails today may be
-    /// retried under a changed spec tomorrow.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`scbd::distribute_with_budget`]; the cache
-    /// itself never fails an evaluation.
-    pub fn distribute(&self, spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-        let key = CacheKey::scbd(spec, budget);
-        if let Some(result) = self.load_scbd(&key) {
-            self.scbd.hit();
-            return Ok(result);
-        }
-        let result = scbd::distribute_with_budget(spec, budget)?;
-        self.scbd.miss();
-        self.store_scbd(&key, &result);
-        Ok(result)
-    }
-
     /// Reads the schedule entry addressed by `key`, or `None` on
     /// absence *or any corruption* (truncation, bad
     /// magic/version/checksum, key-echo mismatch). Does not touch the
-    /// hit/miss counters — the policy layer ([`EvalCache::distribute`])
+    /// hit/miss counters — the policy layer ([`EvalCtx::distribute`])
     /// owns those.
     pub fn load_scbd(&self, key: &CacheKey) -> Option<ScbdResult> {
         let bytes = fs::read(self.scbd_path(key)).ok()?;
@@ -528,7 +506,7 @@ impl EvalCache {
     /// a hit replays the recorded search effort instead of reporting a
     /// free lunch. `None` on absence or any corruption; counters are
     /// owned by the policy layer
-    /// ([`crate::alloc::assign_with_stats_cached`]).
+    /// ([`crate::alloc::assign_with_stats`]).
     pub fn load_alloc(&self, key: &CacheKey) -> Option<(Organization, AllocStats)> {
         let bytes = fs::read(self.alloc_path(key)).ok()?;
         decode_alloc(decode_entry(&bytes, key, KIND_ALLOC)?)
@@ -624,21 +602,56 @@ impl EvalCache {
     }
 }
 
-/// Distributes via `cache` when one is configured, directly otherwise —
-/// the single seam every cache-aware caller goes through (the engine's
-/// batch phase, [`crate::explore::evaluate_with_cache`], binaries).
+/// The borrowed context of one evaluation: the technology library every
+/// stage prices against, plus the persistent cache when one is
+/// attached. Each stage has one entry point taking it —
+/// [`EvalCtx::distribute`] for SCBD, [`crate::alloc::assign_with_stats`]
+/// for allocation and [`crate::explore::evaluate`] end to end.
 ///
-/// # Errors
-///
-/// Exactly those of [`scbd::distribute_with_budget`].
-pub fn distribute_cached(
-    spec: &AppSpec,
-    budget: u64,
-    cache: Option<&EvalCache>,
-) -> Result<ScbdResult, ExploreError> {
-    match cache {
-        Some(cache) => cache.distribute(spec, budget),
-        None => scbd::distribute_with_budget(spec, budget),
+/// A bare `&MemLibrary` converts into an uncached context, so uncached
+/// callers simply pass `&lib`. Results are bit-identical with or
+/// without a cache — only the work to produce them changes.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalCtx<'a> {
+    /// The calibrated technology library.
+    pub lib: &'a MemLibrary,
+    /// The persistent evaluation cache, if any.
+    pub cache: Option<&'a EvalCache>,
+}
+
+impl<'a> From<&'a MemLibrary> for EvalCtx<'a> {
+    fn from(lib: &'a MemLibrary) -> Self {
+        EvalCtx { lib, cache: None }
+    }
+}
+
+impl EvalCtx<'_> {
+    /// Distributes `spec`'s storage cycle budget like
+    /// [`scbd::distribute_with_budget`]; with a cache attached, the
+    /// result is served from disk when a valid entry exists and stored
+    /// otherwise. Hits are bit-identical to recomputation.
+    ///
+    /// Errors ([`ExploreError::BudgetTooTight`]) are never cached: they
+    /// are cheap to rediscover and a budget that fails today may be
+    /// retried under a changed spec tomorrow.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`scbd::distribute_with_budget`]; the cache
+    /// itself never fails an evaluation.
+    pub fn distribute(&self, spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
+        let Some(cache) = self.cache else {
+            return scbd::distribute_with_budget(spec, budget);
+        };
+        let key = CacheKey::scbd(spec, budget);
+        if let Some(result) = cache.load_scbd(&key) {
+            cache.scbd.hit();
+            return Ok(result);
+        }
+        let result = scbd::distribute_with_budget(spec, budget)?;
+        cache.scbd.miss();
+        cache.store_scbd(&key, &result);
+        Ok(result)
     }
 }
 
@@ -1065,6 +1078,19 @@ mod tests {
         dir
     }
 
+    fn distribute(
+        cache: &EvalCache,
+        spec: &AppSpec,
+        budget: u64,
+    ) -> Result<ScbdResult, ExploreError> {
+        let lib = MemLibrary::default_07um();
+        EvalCtx {
+            lib: &lib,
+            cache: Some(cache),
+        }
+        .distribute(spec, budget)
+    }
+
     fn assert_same(a: &ScbdResult, b: &ScbdResult) {
         assert_eq!(a.used_cycles, b.used_cycles);
         assert_eq!(a.total_budget, b.total_budget);
@@ -1086,8 +1112,8 @@ mod tests {
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
         let direct = scbd::distribute_with_budget(&spec, 10_000).unwrap();
-        let cold = cache.distribute(&spec, 10_000).unwrap();
-        let warm = cache.distribute(&spec, 10_000).unwrap();
+        let cold = distribute(&cache, &spec, 10_000).unwrap();
+        let warm = distribute(&cache, &spec, 10_000).unwrap();
         assert_same(&direct, &cold);
         assert_same(&direct, &warm);
         let stats = cache.stats();
@@ -1096,7 +1122,7 @@ mod tests {
         // A second handle on the same directory hits immediately:
         // persistence across processes in miniature.
         let other = EvalCache::open(&dir).unwrap();
-        assert_same(&direct, &other.distribute(&spec, 10_000).unwrap());
+        assert_same(&direct, &distribute(&other, &spec, 10_000).unwrap());
         assert_eq!(other.stats().scbd_hits, 1);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1106,8 +1132,8 @@ mod tests {
         let dir = tempdir("budgets");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        let a = cache.distribute(&spec, 10_000).unwrap();
-        let b = cache.distribute(&spec, 5_000).unwrap();
+        let a = distribute(&cache, &spec, 10_000).unwrap();
+        let b = distribute(&cache, &spec, 5_000).unwrap();
         assert_ne!(a.total_budget, b.total_budget);
         assert_eq!(cache.stats().scbd_misses, 2);
         fs::remove_dir_all(&dir).ok();
@@ -1120,7 +1146,7 @@ mod tests {
         let spec = spec();
         for _ in 0..2 {
             assert!(matches!(
-                cache.distribute(&spec, 1),
+                distribute(&cache, &spec, 1),
                 Err(ExploreError::BudgetTooTight { .. })
             ));
         }
@@ -1134,7 +1160,7 @@ mod tests {
         let dir = tempdir("truncate");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        let original = cache.distribute(&spec, 10_000).unwrap();
+        let original = distribute(&cache, &spec, 10_000).unwrap();
         let path = cache.scbd_path(&CacheKey::scbd(&spec, 10_000));
         let bytes = fs::read(&path).unwrap();
         // Every possible truncation point must miss cleanly, including
@@ -1146,7 +1172,7 @@ mod tests {
                 "truncation to {keep} bytes must read as a miss"
             );
             // The policy layer recomputes and repairs the entry.
-            let again = cache.distribute(&spec, 10_000).unwrap();
+            let again = distribute(&cache, &spec, 10_000).unwrap();
             assert_same(&original, &again);
             assert!(cache.load_scbd(&CacheKey::scbd(&spec, 10_000)).is_some());
             fs::write(&path, &bytes).unwrap();
@@ -1159,7 +1185,7 @@ mod tests {
         let dir = tempdir("garbage");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute(&cache, &spec, 10_000).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         let path = cache.scbd_path(&key);
         let good = fs::read(&path).unwrap();
@@ -1223,7 +1249,7 @@ mod tests {
         let dir = tempdir("version");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute(&cache, &spec, 10_000).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         let path = cache.scbd_path(&key);
         let mut bytes = fs::read(&path).unwrap();
@@ -1249,7 +1275,7 @@ mod tests {
         let dir = tempdir("stale");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute(&cache, &spec, 10_000).unwrap();
         let fresh = CacheKey::scbd(&spec, 10_000);
         assert!(cache.load_scbd(&fresh).is_some());
         // A recalibrated timing/pressure constant moves the model
@@ -1275,7 +1301,7 @@ mod tests {
         let dir = tempdir("echo");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute(&cache, &spec, 10_000).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         // Forge a collision: copy the entry to the filename another key
         // would hash to. The echoed key inside the entry must reject it.
@@ -1300,7 +1326,7 @@ mod tests {
         let writable = perms.clone();
         perms.set_readonly(true);
         fs::set_permissions(&scbd_dir, perms).unwrap();
-        let result = cache.distribute(&spec, 10_000);
+        let result = distribute(&cache, &spec, 10_000);
         fs::set_permissions(&scbd_dir, writable).unwrap();
         // Root-privileged runners can write into read-only directories;
         // only assert the failure accounting when the write really

@@ -59,8 +59,8 @@ use std::thread;
 use memx_ir::AppSpec;
 use memx_memlib::MemLibrary;
 
-use crate::cache::{self, EvalCache};
-use crate::explore::{evaluate_scheduled_cached, CostReport, EvaluateOptions, Exploration};
+use crate::cache::{EvalCache, EvalCtx};
+use crate::explore::{evaluate_scheduled, CostReport, EvaluateOptions, Exploration};
 use crate::fan::ClaimQueue;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
@@ -185,25 +185,6 @@ impl<'l> Engine<'l> {
         }
     }
 
-    /// Engine over `lib` with an explicit worker count (`0` = one per
-    /// available core, `1` = evaluate on the calling thread).
-    #[deprecated(note = "use `Engine::builder(lib).workers(n).build()`")]
-    pub fn with_workers(lib: &'l MemLibrary, workers: usize) -> Self {
-        Self::builder(lib).workers(workers).build()
-    }
-
-    /// Attaches a persistent evaluation cache.
-    #[deprecated(note = "use `Engine::builder(lib).eval_cache(cache).build()`")]
-    pub fn with_eval_cache(mut self, cache: Option<Arc<EvalCache>>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// The attached persistent cache, if any.
-    pub fn eval_cache(&self) -> Option<&EvalCache> {
-        self.cache.as_deref()
-    }
-
     /// The resolved worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -260,6 +241,13 @@ impl<'l> Engine<'l> {
         // cooperating levels in total; see `crate::alloc`.)
         let point_workers = self.workers.min(points.len().max(1));
         let alloc_workers = (self.workers / point_workers).max(1);
+        // The cache serves both stages: schedules through
+        // `ctx.distribute` below, allocation solutions through
+        // `evaluate_scheduled`.
+        let ctx = EvalCtx {
+            lib: self.lib,
+            cache: self.cache.as_deref(),
+        };
         let evaluate_scheduled_point = |point: &DesignPoint,
                                         schedule: Result<ScbdResult, ExploreError>|
          -> Result<CostReport, ExploreError> {
@@ -267,15 +255,7 @@ impl<'l> Engine<'l> {
             if options.alloc.workers == 0 {
                 options.alloc.workers = alloc_workers;
             }
-            // The cache serves both stages: schedules in phase 1 (see
-            // `distribute_cached` below) and allocation solutions here.
-            let mut report = evaluate_scheduled_cached(
-                point.spec,
-                self.lib,
-                schedule?,
-                &options,
-                self.cache.as_deref(),
-            )?;
+            let mut report = evaluate_scheduled(point.spec, ctx, schedule?, &options)?;
             report.label = point.label.clone();
             Ok(report)
         };
@@ -288,8 +268,7 @@ impl<'l> Engine<'l> {
             let mut memo: BTreeMap<(u64, u64), Result<ScbdResult, ExploreError>> = BTreeMap::new();
             for (i, point) in points.iter().enumerate() {
                 let key = key_of_point[i];
-                let distribute =
-                    || cache::distribute_cached(point.spec, key.1, self.cache.as_deref());
+                let distribute = || ctx.distribute(point.spec, key.1);
                 let schedule = if last_use[&key] == i {
                     memo.remove(&key).unwrap_or_else(distribute)
                 } else {
@@ -314,7 +293,7 @@ impl<'l> Engine<'l> {
             });
         }
         let schedules = parallel_map(&unique, self.workers, |_, &(point, budget)| {
-            cache::distribute_cached(point.spec, budget, self.cache.as_deref())
+            ctx.distribute(point.spec, budget)
         });
         let scheduled: BTreeMap<(u64, u64), Result<ScbdResult, ExploreError>> = seen
             .into_iter()
@@ -723,20 +702,5 @@ mod tests {
         let lib = MemLibrary::default_07um();
         assert!(Engine::new(&lib).workers() >= 1);
         assert_eq!(Engine::builder(&lib).workers(5).build().workers(), 5);
-    }
-
-    /// The deprecated constructors stay behaviour-identical shims over
-    /// the builder until external callers have migrated.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        let lib = MemLibrary::default_07um();
-        assert_eq!(
-            Engine::with_workers(&lib, 5).workers(),
-            Engine::builder(&lib).workers(5).build().workers()
-        );
-        let shim = Engine::with_workers(&lib, 1).with_eval_cache(None);
-        assert!(shim.eval_cache().is_none());
-        assert_eq!(shim.workers(), 1);
     }
 }

@@ -13,10 +13,8 @@ use std::fmt;
 use memx_ir::AppSpec;
 use memx_memlib::{CostBreakdown, MemLibrary};
 
-use crate::alloc::{
-    assign_with_stats_cached, check_cost_weights, AllocOptions, AllocStats, Organization,
-};
-use crate::cache::{self, EvalCache};
+use crate::alloc::{assign_with_stats, check_cost_weights, AllocOptions, AllocStats, Organization};
+use crate::cache::EvalCtx;
 use crate::macp;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
@@ -57,77 +55,38 @@ impl fmt::Display for CostReport {
 
 /// Runs SCBD + allocation/assignment on one variant.
 ///
+/// With a cache in `ctx`, *both stages* are served from it when valid
+/// entries exist, and freshly computed schedules and allocation
+/// solutions are published to it. Results are bit-identical with or
+/// without a cache — the cache only changes the work, not the answer
+/// (see [`crate::cache`]). Pass `&lib` for an uncached run.
+///
 /// # Errors
 ///
 /// Propagates [`ExploreError`]s from the stages (tight budgets,
-/// infeasible assignments).
-pub fn evaluate(
+/// infeasible assignments); the cache itself never fails an evaluation.
+pub fn evaluate<'a>(
     spec: &AppSpec,
-    lib: &MemLibrary,
+    ctx: impl Into<EvalCtx<'a>>,
     options: &EvaluateOptions,
 ) -> Result<CostReport, ExploreError> {
-    evaluate_with_cache(spec, lib, None, options)
-}
-
-/// Runs SCBD + allocation/assignment on one variant, serving *both
-/// stages* from the persistent evaluation cache when one is given (and
-/// publishing freshly computed schedules and allocation solutions to
-/// it). Results are bit-identical to [`evaluate`] — the cache only
-/// changes the work, not the answer (see [`crate::cache`]).
-///
-/// # Errors
-///
-/// Propagates [`ExploreError`]s from the stages; the cache itself never
-/// fails an evaluation.
-pub fn evaluate_with_cache(
-    spec: &AppSpec,
-    lib: &MemLibrary,
-    eval_cache: Option<&EvalCache>,
-    options: &EvaluateOptions,
-) -> Result<CostReport, ExploreError> {
+    let ctx = ctx.into();
     let budget = options.cycle_budget.unwrap_or_else(|| spec.cycle_budget());
-    let schedule = cache::distribute_cached(spec, budget, eval_cache)?;
-    evaluate_scheduled_cached(spec, lib, schedule, options, eval_cache)
+    let schedule = ctx.distribute(spec, budget)?;
+    evaluate_scheduled(spec, ctx, schedule, options)
 }
 
-/// Runs allocation/assignment on an already-distributed schedule.
-///
-/// This is [`evaluate`] with the storage-cycle-budget stage factored
-/// out, so callers that evaluate many variants of one spec at the same
-/// budget (e.g. a Table-4 allocation sweep, or the engine's memoized
-/// batch evaluation — see [`crate::engine`]) can share one schedule
-/// instead of redistributing it per variant.
-///
-/// # Errors
-///
-/// Propagates [`ExploreError`]s from allocation/assignment.
-pub fn evaluate_scheduled(
+/// Runs allocation/assignment on an already-distributed schedule: the
+/// engine's memoized batch evaluation (see [`crate::engine`]) shares one
+/// schedule between the points of a `(spec, budget)` pair instead of
+/// redistributing it per point.
+pub(crate) fn evaluate_scheduled(
     spec: &AppSpec,
-    lib: &MemLibrary,
+    ctx: EvalCtx<'_>,
     schedule: ScbdResult,
     options: &EvaluateOptions,
 ) -> Result<CostReport, ExploreError> {
-    evaluate_scheduled_cached(spec, lib, schedule, options, None)
-}
-
-/// [`evaluate_scheduled`] with an optional persistent cache for the
-/// allocation stage: a cached allocation solution short-circuits the
-/// branch-and-bound entirely (stats replayed, results bit-identical —
-/// see [`crate::alloc::assign_with_stats_cached`]).
-///
-/// # Errors
-///
-/// As for [`evaluate_scheduled`]; the cache itself never fails an
-/// evaluation.
-pub fn evaluate_scheduled_cached(
-    spec: &AppSpec,
-    lib: &MemLibrary,
-    schedule: ScbdResult,
-    options: &EvaluateOptions,
-    eval_cache: Option<&EvalCache>,
-) -> Result<CostReport, ExploreError> {
-    let (organization, alloc_stats) =
-        assign_with_stats_cached(spec, &schedule, lib, &options.alloc, eval_cache)?;
+    let (organization, alloc_stats) = assign_with_stats(spec, &schedule, ctx, &options.alloc)?;
     let report = macp::analyze(spec);
     Ok(CostReport {
         label: spec.name().to_owned(),
@@ -274,6 +233,7 @@ pub fn pareto_indices(costs: &[CostBreakdown]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheStats, EvalCache};
     use memx_ir::{AccessKind, AppSpecBuilder};
 
     fn spec() -> AppSpec {
@@ -295,6 +255,39 @@ mod tests {
         assert!(report.cost.on_chip_area_mm2 > 0.0);
         assert_eq!(report.macp_cycles, 20_000);
         assert!(!report.schedule.bodies.is_empty());
+    }
+
+    #[test]
+    fn cached_evaluate_is_bit_identical_and_counts_each_kind_exactly() {
+        let dir = std::env::temp_dir().join(format!(
+            "memx-explore-cache-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = EvalCache::open(&dir).unwrap();
+        let lib = MemLibrary::default_07um();
+        let options = EvaluateOptions::default();
+        // `Debug` prints every float by its shortest round-trip form, so
+        // equal renderings mean equal bits (signed zeros included).
+        let plain = format!("{:?}", evaluate(&spec(), &lib, &options).unwrap());
+        let ctx = EvalCtx {
+            lib: &lib,
+            cache: Some(&cache),
+        };
+        for (pass, hits, misses) in [("cold", 0, 1), ("warm", 1, 1)] {
+            let cached = evaluate(&spec(), ctx, &options).unwrap();
+            assert_eq!(format!("{cached:?}"), plain, "{pass}");
+            let want = CacheStats {
+                scbd_hits: hits,
+                scbd_misses: misses,
+                alloc_hits: hits,
+                alloc_misses: misses,
+                ..CacheStats::default()
+            };
+            assert_eq!(cache.stats(), want, "{pass}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

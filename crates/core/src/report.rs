@@ -156,7 +156,7 @@ pub fn search_report(stats: &AllocStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::{assign, assign_with_stats, AllocOptions};
+    use crate::alloc::{assign_with_stats, AllocOptions};
     use crate::scbd;
     use memx_ir::{AccessKind, AppSpecBuilder, Placement};
     use memx_memlib::MemLibrary;
@@ -205,7 +205,7 @@ mod tests {
         let spec = spec();
         let sched = scbd::distribute(&spec).unwrap();
         let lib = MemLibrary::default_07um();
-        let org = assign(&spec, &sched, &lib, &AllocOptions::default()).unwrap();
+        let (org, _) = assign_with_stats(&spec, &sched, &lib, &AllocOptions::default()).unwrap();
         let s = organization_report(&spec, &org);
         assert!(s.contains("on-chip SRAM"));
         assert!(s.contains("off-chip EDO"));

@@ -2,12 +2,12 @@
 //! assignment invariants over random specifications.
 
 use memx_core::alloc::{
-    assign, assign_with_stats, assign_with_stats_cached, bell_number,
-    off_chip_exhaustive_reference, root_lower_bounds, AllocOptions, BoundKind, MemoryKind,
+    assign_with_stats, bell_number, off_chip_exhaustive_reference, root_lower_bounds, AllocOptions,
+    BoundKind, MemoryKind, Organization,
 };
-use memx_core::cache::EvalCache;
+use memx_core::cache::{EvalCache, EvalCtx};
 use memx_core::explore::pareto_indices;
-use memx_core::{macp, scbd};
+use memx_core::{macp, scbd, ExploreError};
 use memx_ir::{AccessKind, AppSpec, AppSpecBuilder, BasicGroupId, Placement};
 use memx_memlib::{CostBreakdown, MemLibrary, OffChipCatalog, OnChipModel, OnChipSpec};
 use proptest::prelude::*;
@@ -293,6 +293,16 @@ fn strictly_dominates(a: &CostBreakdown, b: &CostBreakdown) -> bool {
     a.dominates(b) && !b.dominates(a)
 }
 
+/// The organization alone, for properties that ignore search effort.
+fn assign_org(
+    spec: &AppSpec,
+    schedule: &scbd::ScbdResult,
+    lib: &MemLibrary,
+    options: &AllocOptions,
+) -> Result<Organization, ExploreError> {
+    assign_with_stats(spec, schedule, lib, options).map(|(org, _)| org)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -335,7 +345,7 @@ proptest! {
     fn assignment_partitions_all_accessed_groups(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
+        let org = assign_org(&spec, &schedule, &lib, &AllocOptions::default())
             .expect("assignable with free allocation");
         let mut seen = vec![false; spec.basic_groups().len()];
         for mem in &org.memories {
@@ -367,7 +377,7 @@ proptest! {
     fn off_chip_groups_land_in_off_chip_memories(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
+        let org = assign_org(&spec, &schedule, &lib, &AllocOptions::default())
             .expect("assignable");
         for mem in &org.memories {
             for &g in &mem.groups {
@@ -382,12 +392,12 @@ proptest! {
     fn parallel_assignment_is_bit_identical_to_serial(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_org(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             ..AllocOptions::default()
         }).expect("assignable");
         for workers in [2usize, 8] {
-            let parallel = assign(&spec, &schedule, &lib, &AllocOptions {
+            let parallel = assign_org(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 ..AllocOptions::default()
             }).expect("assignable");
@@ -407,13 +417,13 @@ proptest! {
         // cut off identically for every worker count.
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_org(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             node_limit,
             ..AllocOptions::default()
         });
         for workers in [2usize, 8] {
-            let fanned = assign(&spec, &schedule, &lib, &AllocOptions {
+            let fanned = assign_org(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 node_limit,
                 ..AllocOptions::default()
@@ -431,13 +441,13 @@ proptest! {
         // partition search (2–6 off-chip groups plus the on-chip sink).
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_org(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             node_limit,
             ..AllocOptions::default()
         });
         for workers in [2usize, 8] {
-            let fanned = assign(&spec, &schedule, &lib, &AllocOptions {
+            let fanned = assign_org(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 node_limit,
                 ..AllocOptions::default()
@@ -505,7 +515,7 @@ proptest! {
         for k in 1..=groups.len() {
             let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
             for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-                let result = assign(&spec, &schedule, &lib, &AllocOptions {
+                let result = assign_org(&spec, &schedule, &lib, &AllocOptions {
                     on_chip_memories: Some(k as u32),
                     bound,
                     ..AllocOptions::default()
@@ -619,7 +629,7 @@ proptest! {
         prop_assert!(!groups.is_empty(), "every nest has at least one access");
         for k in 1..=groups.len() {
             let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
-            let result = assign(&spec, &schedule, &lib, &AllocOptions {
+            let result = assign_org(&spec, &schedule, &lib, &AllocOptions {
                 on_chip_memories: Some(k as u32),
                 ..AllocOptions::default()
             });
@@ -664,12 +674,12 @@ proptest! {
             ));
             std::fs::remove_dir_all(&dir).ok();
             let cache = EvalCache::open(&dir).expect("cache opens");
+            let ctx = EvalCtx { lib: &lib, cache: Some(&cache) };
 
             // Cold pass populates the entry and must already match the
             // uncached run exactly.
             let (cold_org, cold_stats) =
-                assign_with_stats_cached(&spec, &schedule, &lib, &serial, Some(&cache))
-                    .expect("assignable");
+                assign_with_stats(&spec, &schedule, ctx, &serial).expect("assignable");
             prop_assert_eq!(&cold_org, &want_org, "cold bound={:?}", bound);
             prop_assert_eq!(&cold_stats, &want_stats, "cold bound={:?}", bound);
             prop_assert_eq!(cache.stats().alloc_misses, 1);
@@ -678,8 +688,7 @@ proptest! {
             for workers in [1usize, 2, 8] {
                 let options = AllocOptions { workers, bound, ..AllocOptions::default() };
                 let (org, stats) =
-                    assign_with_stats_cached(&spec, &schedule, &lib, &options, Some(&cache))
-                        .expect("assignable");
+                    assign_with_stats(&spec, &schedule, ctx, &options).expect("assignable");
                 prop_assert_eq!(&org, &want_org, "workers={} bound={:?}", workers, bound);
                 prop_assert_eq!(&stats, &want_stats, "workers={} bound={:?}", workers, bound);
             }
@@ -765,7 +774,7 @@ proptest! {
     fn organization_cost_is_sum_of_memory_costs(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
+        let org = assign_org(&spec, &schedule, &lib, &AllocOptions::default())
             .expect("assignable");
         let total: memx_memlib::CostBreakdown = org.memories.iter().map(|m| m.cost).sum();
         prop_assert!((total.on_chip_area_mm2 - org.cost.on_chip_area_mm2).abs() < 1e-9);

@@ -21,6 +21,7 @@
 //! | `no-ambient-state` | `Instant::now`/`SystemTime`/`env::var` only in the bench-facing experiment module |
 //! | `revision-guard` | fingerprinted modules carry a `// memx-lint: fingerprinted(<CONST>)` marker and the named const/fn exists in and is referenced by `core::cache` |
 //! | `err-impl-error` | every `pub` type named `*Error` has an `impl std::error::Error for` it in the declaring file (callers must be able to `?`-chain and `source()`-walk any public failure) |
+//! | `no-deprecated` | no `#[deprecated]` items anywhere in the workspace: every caller is in-tree, so a shim only delays a migration |
 //!
 //! # Suppressions
 //!
@@ -38,7 +39,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// The six workspace lints.
+/// The seven workspace lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
     /// Panicking constructs in non-test solver code.
@@ -53,17 +54,20 @@ pub enum Lint {
     RevisionGuard,
     /// `pub` error types without a `std::error::Error` impl.
     ErrImplError,
+    /// `#[deprecated]` shims kept alive instead of migrated callers.
+    NoDeprecated,
 }
 
 impl Lint {
     /// Every lint, in reporting order.
-    pub const ALL: [Lint; 6] = [
+    pub const ALL: [Lint; 7] = [
         Lint::NoPanicPaths,
         Lint::AtomicsConfined,
         Lint::NoUnorderedIter,
         Lint::NoAmbientState,
         Lint::RevisionGuard,
         Lint::ErrImplError,
+        Lint::NoDeprecated,
     ];
 
     /// The kebab-case name used in diagnostics and `allow(...)`.
@@ -75,6 +79,7 @@ impl Lint {
             Lint::NoAmbientState => "no-ambient-state",
             Lint::RevisionGuard => "revision-guard",
             Lint::ErrImplError => "err-impl-error",
+            Lint::NoDeprecated => "no-deprecated",
         }
     }
 
@@ -602,6 +607,21 @@ fn calls_macro(line: &str, name: &str) -> bool {
     false
 }
 
+/// True when `line` carries a `#[deprecated]` attribute, in any of its
+/// forms (`#[deprecated(note = ..)]`, `#[deprecated = ..]`, inner
+/// `#![deprecated]`), but not `#[allow(deprecated)]`.
+fn has_deprecated_attr(line: &str) -> bool {
+    let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+    ["#[deprecated", "#![deprecated"].iter().any(|pat| {
+        compact.match_indices(pat).any(|(col, _)| {
+            compact[col + pat.len()..]
+                .chars()
+                .next()
+                .is_none_or(|c| !is_ident_char(c))
+        })
+    })
+}
+
 /// Per-file lint result, before workspace-level rules.
 #[derive(Debug)]
 pub struct FileReport {
@@ -671,6 +691,14 @@ pub fn lint_file(path: &str, source: &str, cfg: &Config) -> FileReport {
                     );
                 }
             }
+        }
+        if has_deprecated_attr(line) {
+            push(
+                Lint::NoDeprecated,
+                idx,
+                "`#[deprecated]` shim; every caller is in-tree, so migrate them and delete the old item"
+                    .to_string(),
+            );
         }
         if atomics_scoped {
             for tok in ATOMIC_TOKENS.iter().chain(ORDERING_TOKENS.iter()) {

@@ -12,6 +12,7 @@ const UNORDERED_FIXTURE: &str = include_str!("fixtures/unordered_iter.rs");
 const AMBIENT_FIXTURE: &str = include_str!("fixtures/ambient_state.rs");
 const SUPPRESSED_FIXTURE: &str = include_str!("fixtures/suppressed_ok.rs");
 const ERR_IMPL_FIXTURE: &str = include_str!("fixtures/err_impl.rs");
+const DEPRECATED_FIXTURE: &str = include_str!("fixtures/deprecated.rs");
 
 fn names(report: &xlint::FileReport) -> Vec<&'static str> {
     report.findings.iter().map(|f| f.lint).collect()
@@ -161,6 +162,36 @@ impl Error for LocalError {}\n";
 }
 
 #[test]
+fn deprecated_fixture_flags_each_attribute_form_in_every_crate() {
+    let cfg = Config::workspace();
+    for path in ["crates/core/src/fake.rs", "crates/bench/src/bin/fake.rs"] {
+        let report = lint_file(path, DEPRECATED_FIXTURE, &cfg);
+        let lines: Vec<usize> = report
+            .findings
+            .iter()
+            .filter(|f| f.lint == Lint::NoDeprecated.name())
+            .map(|f| f.line)
+            .collect();
+        // The bare, `note = ..`, `= ".."` and spaced forms; not the
+        // `allow(deprecated)`, the comment, the string, the
+        // `deprecated_since` attribute or the test module.
+        assert_eq!(lines, [4, 7, 10, 13], "{path}: {:?}", report.findings);
+    }
+}
+
+#[test]
+fn deprecated_honours_a_justified_allow() {
+    let src = "\
+// memx-lint: allow(no-deprecated) — kept one release for an out-of-tree caller.\n\
+#[deprecated(note = \"use `g`\")]\n\
+pub fn f() {}\n";
+    let report = lint_file("crates/core/src/fake.rs", src, &Config::workspace());
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed.len(), 1);
+    assert_eq!(report.suppressed[0].lint, Lint::NoDeprecated.name());
+}
+
+#[test]
 fn justified_suppressions_pass_and_are_counted() {
     let cfg = Config::workspace();
     let report = lint_file("crates/core/src/fake.rs", SUPPRESSED_FIXTURE, &cfg);
@@ -239,6 +270,28 @@ pub fn f(v: &[u32]) -> u32 {\n\
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
+fn workspace_files() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/xlint sits two levels under the workspace root");
+    collect_workspace_files(root).expect("workspace walks")
+}
+
+#[test]
+fn the_real_workspace_has_no_deprecated_items() {
+    let files = workspace_files();
+    // The engine is where the last shims lived.
+    assert!(files.iter().any(|(p, _)| p == "crates/core/src/engine.rs"));
+    let report = lint_files(&files, &Config::workspace());
+    let deprecated: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.lint == Lint::NoDeprecated.name())
+        .collect();
+    assert!(deprecated.is_empty(), "{deprecated:?}");
+}
+
 fn revision_cfg() -> Config {
     Config {
         fingerprinted: vec![(
@@ -308,11 +361,7 @@ fn revision_guard_rejects_markers_cache_does_not_reference() {
 
 #[test]
 fn the_real_workspace_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/xlint sits two levels under the workspace root");
-    let files = collect_workspace_files(root).expect("workspace walks");
+    let files = workspace_files();
     assert!(files.len() > 40, "walked only {} files", files.len());
     let report = lint_files(&files, &Config::workspace());
     assert!(

@@ -48,7 +48,7 @@ fn full_pipeline_from_pixels_to_organization() {
     let lib = MemLibrary::default_07um();
     let schedule = scbd::distribute(&layered.spec).expect("schedule fits");
     assert!(schedule.used_cycles <= layered.spec.cycle_budget());
-    let org = alloc::assign(
+    let (org, _) = alloc::assign_with_stats(
         &layered.spec,
         &schedule,
         &lib,
