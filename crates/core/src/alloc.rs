@@ -2741,6 +2741,38 @@ mod tests {
     }
 
     #[test]
+    fn memory_members_come_out_in_search_order() {
+        // `MemoryInstance::groups` is emitted as stored (organization
+        // reports, served rows): on chip in the hardest-first push
+        // order — non-increasing total traffic, ties by group id — and
+        // off chip in canonical group order.
+        for spec in [mixed_spec(2_000_000), off_heavy_spec()] {
+            let s = scbd::distribute(&spec).unwrap();
+            let traffic = group_traffic(&spec);
+            for on_chip_memories in [None, Some(1), Some(2)] {
+                let options = AllocOptions {
+                    on_chip_memories,
+                    ..AllocOptions::default()
+                };
+                let org = assign_org(&spec, &s, &lib(), &options).unwrap();
+                for mem in &org.memories {
+                    let mut want = mem.groups.clone();
+                    match mem.kind {
+                        MemoryKind::OnChip => want.sort_by(|a, b| {
+                            traffic[b.index()]
+                                .total()
+                                .total_cmp(&traffic[a.index()].total())
+                                .then(a.cmp(b))
+                        }),
+                        MemoryKind::OffChip(_) => want.sort(),
+                    }
+                    assert_eq!(mem.groups, want, "k={on_chip_memories:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bell_numbers_match_the_oeis_prefix() {
         for (n, expect) in [
             (0u64, 1u64),

@@ -141,9 +141,9 @@ const KIND_OFF_CHIP_BLOCKS: u32 = 3;
 /// forgotten bump is CI's `cache_roundtrip.sh`, which diffs runs served
 /// from the cross-commit carried cache against an uncached reference
 /// run of the current binaries.
-const SCBD_ALGO_REVISION: u64 = 1;
+pub const SCBD_ALGO_REVISION: u64 = 1;
 /// Revision of the allocation solver. Folded into the knobs fingerprint
-/// of [`KIND_ALLOC`] entries.
+/// of allocation entries.
 ///
 /// **Bump this on any result-affecting code change** in `core::alloc` —
 /// bound formulas, tie-breaks, traversal order, the greedy seed, the
@@ -157,7 +157,7 @@ const SCBD_ALGO_REVISION: u64 = 1;
 ///
 /// Revision 2: symmetric-group dominance + incremental bounds (results
 /// bit-identical, node counts and stats layout changed).
-const ALLOC_ALGO_REVISION: u64 = 2;
+pub const ALLOC_ALGO_REVISION: u64 = 2;
 /// Revision of the off-chip block pricer. Folded into the knobs
 /// fingerprint of [`KIND_OFF_CHIP_BLOCKS`] entries; bump on any change
 /// to how a group subset is priced (port gating, device ganging,

@@ -1,35 +1,43 @@
 //! Paper-table conformance suite: pins the reproduced Tables 1–4 (costs
 //! *and* memory assignments) against a committed golden snapshot, so a
-//! solver change can never silently drift the paper's results.
+//! solver change can never silently drift the paper's results. A second
+//! golden, `effort.txt`, pins the search effort behind those tables:
+//! every [`AllocStats`] counter of every report, serially, for the full
+//! and the smoke context, plus the cache revisions a count change must
+//! bump.
 //!
-//! The snapshot is rendered from the deterministic [`paper_context`]
-//! pipeline — environment-independent, bit-identical for every worker
-//! count — so any diff is a real behavior change. To regenerate after an
-//! *intentional* change, run:
+//! The snapshots are rendered from deterministic pipelines —
+//! environment-independent, the tables bit-identical for every worker
+//! count, the effort counters run with one worker (parallel counts
+//! depend on thread timing) — so any diff is a real behavior change. To
+//! regenerate after an *intentional* change, run:
 //!
 //! ```sh
 //! MEMX_UPDATE_GOLDEN=1 cargo test --test paper_tables
 //! ```
 //!
-//! and commit the updated `tests/golden/paper_tables.txt` together with
-//! the change that explains it.
+//! and commit the updated `tests/golden/*.txt` together with the change
+//! that explains it.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use memx_bench::experiments::{
-    self, paper_allocations, paper_extras, table1, table2, table3, table4,
+    self, paper_allocations, paper_extras, table1, table2, table3, table4, PaperContext, RunKnobs,
 };
-use memx_core::alloc::{BoundKind, MemoryKind, Organization};
+use memx_core::alloc::{
+    assign_with_stats, AllocOptions, AllocStats, BoundKind, MemoryKind, Organization,
+};
+use memx_core::cache::{ALLOC_ALGO_REVISION, SCBD_ALGO_REVISION};
 use memx_core::explore::CostReport;
 use memx_ir::AppSpec;
 use memx_memlib::CostBreakdown;
 
-fn golden_path() -> PathBuf {
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("paper_tables.txt")
+        .join(name)
 }
 
 fn render_cost(out: &mut String, cost: &CostBreakdown) {
@@ -134,14 +142,14 @@ fn render_snapshot() -> String {
     out
 }
 
-#[test]
-fn paper_tables_match_the_committed_golden_snapshot() {
-    let rendered = render_snapshot();
-    let path = golden_path();
+/// Compares `rendered` against the committed golden `name`, or rewrites
+/// the golden when `MEMX_UPDATE_GOLDEN` is set.
+fn check_golden(name: &str, rendered: &str) {
+    let path = golden_path(name);
     if std::env::var_os("MEMX_UPDATE_GOLDEN").is_some_and(|v| !v.is_empty() && v != "0") {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("golden dir creatable");
-        std::fs::write(&path, &rendered).expect("golden writable");
+        std::fs::write(&path, rendered).expect("golden writable");
         eprintln!("updated {}", path.display());
         return;
     }
@@ -158,7 +166,7 @@ fn paper_tables_match_the_committed_golden_snapshot() {
             match gl.next() {
                 Some(g) if g == r => continue,
                 got => panic!(
-                    "paper tables drifted from the golden snapshot at line {}:\n  \
+                    "{name} drifted from the golden snapshot at line {}:\n  \
                      golden:   {:?}\n  rendered: {:?}\n\
                      If the change is intentional, regenerate with \
                      MEMX_UPDATE_GOLDEN=1 cargo test --test paper_tables",
@@ -169,12 +177,104 @@ fn paper_tables_match_the_committed_golden_snapshot() {
             }
         }
         panic!(
-            "paper tables drifted from the golden snapshot (line counts differ: \
+            "{name} drifted from the golden snapshot (line counts differ: \
              golden {} vs rendered {})",
             golden.lines().count(),
             rendered.lines().count()
         );
     }
+}
+
+#[test]
+fn paper_tables_match_the_committed_golden_snapshot() {
+    check_golden("paper_tables.txt", &render_snapshot());
+}
+
+/// Runs `ctx` serially: parallel node counters depend on thread timing.
+fn serial(mut ctx: PaperContext) -> PaperContext {
+    ctx.workers = 1;
+    ctx.alloc.workers = 1;
+    ctx
+}
+
+fn render_stats(out: &mut String, label: &str, stats: &AllocStats) {
+    let _ = writeln!(out, "  {label}: {stats:?}");
+}
+
+/// Every report's search-effort counters in Tables 1–4 of one context.
+fn render_table_effort(out: &mut String, ctx: &PaperContext) {
+    out.push_str("Table 1\n");
+    for report in table1(ctx).expect("table 1 runs").reports() {
+        render_stats(out, &report.label, &report.alloc_stats);
+    }
+    out.push_str("Table 2\n");
+    for report in table2(ctx).expect("table 2 runs").reports() {
+        render_stats(out, &report.label, &report.alloc_stats);
+    }
+    out.push_str("Table 3\n");
+    for row in table3(ctx, &paper_extras()).expect("table 3 runs") {
+        render_stats(
+            out,
+            &format!("extra={}", row.extra_cycles),
+            &row.report.alloc_stats,
+        );
+    }
+    out.push_str("Table 4\n");
+    for row in table4(ctx, &paper_allocations()).expect("table 4 runs") {
+        render_stats(out, &format!("k={}", row.memories), &row.report.alloc_stats);
+    }
+}
+
+/// Renders the effort snapshot: the paper tables in the full and the
+/// smoke context, Table 4 under the solo bound, the tie plateau with
+/// and without dominance, and the cache revisions a count change bumps.
+fn render_effort() -> String {
+    let mut out = String::new();
+    out.push_str("# full context\n");
+    render_table_effort(&mut out, &serial(experiments::paper_context()));
+    out.push_str("# smoke context\n");
+    let smoke = experiments::context(RunKnobs {
+        smoke: true,
+        workers: 1,
+        ..Default::default()
+    });
+    render_table_effort(&mut out, &serial(smoke));
+
+    out.push_str("# full context, solo bound\nTable 4\n");
+    let mut solo = serial(experiments::paper_context());
+    solo.alloc.bound = BoundKind::Solo;
+    for row in table4(&solo, &paper_allocations()).expect("table 4 runs") {
+        render_stats(
+            &mut out,
+            &format!("k={}", row.memories),
+            &row.report.alloc_stats,
+        );
+    }
+
+    out.push_str("# tie plateau\n");
+    let spec = experiments::plateau_spec(experiments::PLATEAU_GROUPS);
+    let schedule = memx_core::scbd::distribute(&spec).expect("plateau schedules");
+    let lib = memx_memlib::MemLibrary::default_07um();
+    for dominance in [true, false] {
+        let options = AllocOptions {
+            workers: 1,
+            off_chip_dominance: dominance,
+            ..AllocOptions::default()
+        };
+        let (_, stats) =
+            assign_with_stats(&spec, &schedule, &lib, &options).expect("plateau allocates");
+        render_stats(&mut out, &format!("dominance={dominance}"), &stats);
+    }
+
+    let _ = writeln!(out, "# cache revisions");
+    let _ = writeln!(out, "SCBD_ALGO_REVISION = {SCBD_ALGO_REVISION}");
+    let _ = writeln!(out, "ALLOC_ALGO_REVISION = {ALLOC_ALGO_REVISION}");
+    out
+}
+
+#[test]
+fn search_effort_matches_the_committed_golden_snapshot() {
+    check_golden("effort.txt", &render_effort());
 }
 
 #[test]
