@@ -16,7 +16,8 @@
 //! the read-only input (`image`) from the reconstruction pyramid
 //! (`pyr`); after the Table 1 merge, the heavily-read pixel store
 //! playing the paper's role is the merged `pyr_ridge` group, so the
-//! hierarchy experiments target it (see EXPERIMENTS.md).
+//! hierarchy experiments target it (see [`best_hierarchy_spec`] and the
+//! Table 2 rows of `tests/golden/paper_tables.txt`).
 
 use std::sync::Arc;
 
@@ -526,9 +527,10 @@ pub fn on_chip_crossover_extra_cached<'a>(
 /// The extended Table-3 sweep: the paper's four points plus a denser
 /// sweep through our schedule's crossover region (the absolute
 /// crossover fractions differ from the paper's because the access
-/// densities of the two BTPC implementations differ; see
-/// EXPERIMENTS.md). The crossover probe runs on the context's worker
-/// pool and cache; the list is the same for every worker count.
+/// densities of the two BTPC implementations differ; the Table 3 rows
+/// of `tests/golden/paper_tables.txt` pin ours). The crossover probe
+/// runs on the context's worker pool and cache; the list is the same
+/// for every worker count.
 ///
 /// # Errors
 ///

@@ -2,8 +2,9 @@
 //!
 //! Both exact solvers of [`crate::alloc`] — the on-chip partition
 //! branch-and-bound and the off-chip set-partition branch-and-bound —
-//! fan a canonical search tree over worker threads with the *same*
-//! choreography:
+//! run one shared canonical-partition search (`alloc/search.rs`, the
+//! only [`SubtreeSearch`] implementation), which fans its tree over
+//! worker threads with this choreography:
 //!
 //! 1. the canonical tree is split into deterministic **prefix
 //!    subtrees** (at least [`TARGET_SUBTREES`] of them, breadth-first in
@@ -25,8 +26,9 @@
 //!    the serial first-found-minimum tie-break bit for bit.
 //!
 //! The harness is parameterized by an explore function and a skip
-//! predicate via [`SubtreeSearch`]: the on-chip solver skips strictly
-//! (`lb > incumbent`), the off-chip solver skips with the ulp guard of
+//! predicate via [`SubtreeSearch`]; the search takes its skip predicate
+//! from the solver: on chip strictly (`lb > incumbent`), off chip with
+//! the ulp guard of
 //! [`above_with_slack`] because its suffix floor can be *exactly* tight
 //! in real arithmetic. Everything timing-dependent is confined to this
 //! module; no solver result may depend on it.
@@ -170,9 +172,10 @@ impl ClaimQueue {
 pub trait SubtreeSearch: Sync {
     /// One canonical prefix subtree.
     type Prefix: Sync;
-    /// Per-worker scratch state (memo caches); cloned per worker thread.
-    type State: Send;
-    /// The outcome of exploring (or skipping) one subtree.
+    /// Per-worker scratch state (memo caches); cloned per worker thread
+    /// after the seed phase, so every worker inherits the seed's memo.
+    type State: Clone + Send;
+    /// The outcome of exploring one subtree.
     type Outcome: Send;
 
     /// Explores one subtree against the fixed outer bound `outer` with
@@ -185,15 +188,6 @@ pub trait SubtreeSearch: Sync {
         budget: u64,
     ) -> Self::Outcome;
 
-    /// Clones the scratch state for one worker thread (clones taken
-    /// after the seed phase, so every worker inherits the seed's memo).
-    fn clone_state(&self, state: &Self::State) -> Self::State;
-
-    /// The outcome recorded for a subtree skipped against the published
-    /// incumbent (no nodes, no result, flagged as skipped if the solver
-    /// tracks that).
-    fn skipped(&self) -> Self::Outcome;
-
     /// The publishable value of an outcome: `Some(cost)` when the
     /// subtree produced a real candidate, `None` otherwise.
     fn value(&self, outcome: &Self::Outcome) -> Option<f64>;
@@ -203,12 +197,10 @@ pub trait SubtreeSearch: Sync {
     fn nodes(&self, outcome: &Self::Outcome) -> u64;
 
     /// Whether a subtree with root lower bound `lb` may be skipped
-    /// against the published incumbent `bound`. The default is the
-    /// strict comparison; searches whose bounds can be exactly tight
-    /// override this with [`above_with_slack`].
-    fn skip_above(&self, lb: f64, bound: f64) -> bool {
-        lb > bound
-    }
+    /// against the published incumbent `bound`: strictly above it, or
+    /// above it by [`above_with_slack`] for searches whose bounds can be
+    /// exactly tight.
+    fn skip_above(&self, lb: f64, bound: f64) -> bool;
 
     /// Folds one worker's final scratch state back into the main state
     /// after the fan completes (called once per worker, in spawn order,
@@ -224,7 +216,8 @@ pub trait SubtreeSearch: Sync {
 /// Runs the deterministic subtree fan-out (see the module docs): seed
 /// phase, budget split, published incumbent, claim queue — returning
 /// one outcome per prefix **in canonical prefix order** for the caller
-/// to reduce with strict improvement.
+/// to reduce with strict improvement; `None` marks a subtree skipped
+/// against the published incumbent.
 ///
 /// `bounds[i]` must be the deterministic root lower bound of
 /// `prefixes[i]`; `initial_bound` is the greedy incumbent's value (or
@@ -240,7 +233,7 @@ pub fn fan_subtrees<T: SubtreeSearch>(
     initial_bound: f64,
     node_limit: u64,
     workers: usize,
-) -> Vec<T::Outcome> {
+) -> Vec<Option<T::Outcome>> {
     debug_assert_eq!(prefixes.len(), bounds.len());
     if prefixes.is_empty() {
         return Vec::new();
@@ -253,12 +246,9 @@ pub fn fan_subtrees<T: SubtreeSearch>(
     // deterministically, since the choice of seed and its search depend
     // on nothing timing-related. This recovers most of the pruning
     // power a serial DFS gets from its evolving incumbent.
-    let mut seed_idx = 0usize;
-    for j in 1..prefixes.len() {
-        if bounds[j].total_cmp(&bounds[seed_idx]).is_lt() {
-            seed_idx = j;
-        }
-    }
+    let seed_idx = (0..prefixes.len())
+        .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
+        .unwrap_or(0);
     let seed_out = search.explore(state, &prefixes[seed_idx], initial_bound, node_limit);
     let seed_val = search.value(&seed_out).unwrap_or(initial_bound);
 
@@ -281,8 +271,9 @@ pub fn fan_subtrees<T: SubtreeSearch>(
     // so the published bound tightens as early as possible.
     let published = Incumbent::new(seed_val);
     let queue = ClaimQueue::new();
-    let slots: Vec<Mutex<Option<T::Outcome>>> =
+    let mut slots: Vec<Mutex<Option<Option<T::Outcome>>>> =
         (0..prefixes.len()).map(|_| Mutex::new(None)).collect();
+    *slots[seed_idx].get_mut().unwrap_or_else(|p| p.into_inner()) = Some(Some(seed_out));
     let claim_order: Vec<usize> = {
         let mut idx: Vec<usize> = (0..prefixes.len()).collect();
         idx.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
@@ -294,12 +285,9 @@ pub fn fan_subtrees<T: SubtreeSearch>(
             if j == seed_idx {
                 continue; // already explored in the seed phase
             }
-            let out = if search.skip_above(bounds[j], published.get()) {
-                search.skipped()
-            } else {
-                search.explore(state, &prefixes[j], seed_val, node_budget)
-            };
-            if let Some(val) = search.value(&out) {
+            let out = (!search.skip_above(bounds[j], published.get()))
+                .then(|| search.explore(state, &prefixes[j], seed_val, node_budget));
+            if let Some(val) = out.as_ref().and_then(|o| search.value(o)) {
                 published.publish_min(val);
             }
             // A poisoned slot lock can only come from a sibling worker
@@ -322,7 +310,7 @@ pub fn fan_subtrees<T: SubtreeSearch>(
         let returned = thread::scope(|scope| {
             let handles: Vec<_> = (0..fan_workers)
                 .map(|_| {
-                    let mut worker_state = search.clone_state(state);
+                    let mut worker_state = state.clone();
                     note_thread_spawn();
                     scope.spawn(move || {
                         run(&mut worker_state);
@@ -345,20 +333,13 @@ pub fn fan_subtrees<T: SubtreeSearch>(
 
     // Hand the outcomes back in canonical prefix order (the seed in its
     // slot), for the caller's strict-improvement reduction.
-    let mut seed_slot = Some(seed_out);
     slots
         .into_iter()
-        .enumerate()
-        .map(|(j, slot)| {
-            if j == seed_idx {
-                // memx-lint: allow(no-panic-paths) — the seed outcome is moved out exactly once.
-                seed_slot.take().expect("seed outcome handed back once")
-            } else {
-                slot.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    // memx-lint: allow(no-panic-paths) — the claim queue hands out every index exactly once, so each non-seed slot was filled.
-                    .expect("every non-seed subtree claimed and stored")
-            }
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                // memx-lint: allow(no-panic-paths) — the claim queue hands out every index exactly once, so each slot was filled.
+                .expect("every subtree explored or skipped")
         })
         .collect()
 }
@@ -376,7 +357,6 @@ mod tests {
     struct ToyOutcome {
         val: Option<f64>,
         nodes: u64,
-        skipped: bool,
     }
 
     impl SubtreeSearch for Toy {
@@ -389,17 +369,6 @@ mod tests {
             ToyOutcome {
                 val: (*p < outer).then_some(*p),
                 nodes: 1,
-                skipped: false,
-            }
-        }
-        fn clone_state(&self, s: &u64) -> u64 {
-            *s
-        }
-        fn skipped(&self) -> ToyOutcome {
-            ToyOutcome {
-                val: None,
-                nodes: 0,
-                skipped: true,
             }
         }
         fn value(&self, o: &ToyOutcome) -> Option<f64> {
@@ -408,12 +377,15 @@ mod tests {
         fn nodes(&self, o: &ToyOutcome) -> u64 {
             o.nodes
         }
+        fn skip_above(&self, lb: f64, bound: f64) -> bool {
+            lb > bound
+        }
     }
 
     #[test]
     fn outcomes_come_back_in_canonical_order_for_every_worker_count() {
         let prefixes = [5.0, 3.0, 9.0, 1.0, 7.0];
-        let reference: Vec<ToyOutcome> = {
+        let reference: Vec<Option<ToyOutcome>> = {
             let mut state = 0;
             fan_subtrees(&Toy, &prefixes, &prefixes, &mut state, 8.0, 100, 1)
         };
@@ -424,8 +396,9 @@ mod tests {
             // skipped against the published 1.0... except values above
             // the incumbent are skipped nondeterministically, so only
             // compare the *reduction-relevant* view: values.
-            let vals: Vec<Option<f64>> = got.iter().map(|o| o.val).collect();
-            let ref_vals: Vec<Option<f64>> = reference.iter().map(|o| o.val).collect();
+            let val = |o: &Option<ToyOutcome>| o.as_ref().and_then(|o| o.val);
+            let vals: Vec<Option<f64>> = got.iter().map(val).collect();
+            let ref_vals: Vec<Option<f64>> = reference.iter().map(val).collect();
             assert_eq!(vals, ref_vals, "workers={workers}");
         }
     }
@@ -438,9 +411,10 @@ mod tests {
         let prefixes = [5.0, 3.0, 1.0];
         let mut state = 0;
         let out = fan_subtrees(&Toy, &prefixes, &prefixes, &mut state, 8.0, 100, 1);
-        assert_eq!(out[2].val, Some(1.0));
-        assert_eq!(out[0].val, None);
-        assert_eq!(out[1].val, None);
+        let val = |o: &Option<ToyOutcome>| o.as_ref().and_then(|o| o.val);
+        assert_eq!(val(&out[2]), Some(1.0));
+        assert_eq!(val(&out[0]), None);
+        assert_eq!(val(&out[1]), None);
     }
 
     #[test]

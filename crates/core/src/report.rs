@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use memx_ir::AppSpec;
 
-use crate::alloc::{AllocStats, MemoryKind, Organization};
+use crate::alloc::{MemoryKind, Organization};
 use crate::scbd::ScbdResult;
 
 /// Renders the pruned specification: groups ordered by traffic, loop
@@ -122,37 +122,6 @@ pub fn organization_report(spec: &AppSpec, org: &Organization) -> String {
     out
 }
 
-/// Renders an allocation run's search-effort counters ([`AllocStats`]):
-/// how hard both branch-and-bound solvers worked, how much the
-/// symmetric-group dominance rule cut, and how many incremental bound
-/// updates replaced from-scratch recomputation. Telemetry only — none
-/// of these numbers affect the organization — but they are what tells a
-/// designer whether an instance is near its node budget.
-pub fn search_report(stats: &AllocStats) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Allocation search effort: {} on-chip nodes ({} sweep skips)",
-        stats.bb_nodes, stats.sweep_skips
-    );
-    let _ = writeln!(
-        out,
-        "  off-chip: {} nodes / {} partitions reached (exhaustive scan: {})",
-        stats.off_chip_bb_nodes, stats.off_chip_partitions, stats.off_chip_exhaustive_partitions
-    );
-    let _ = writeln!(
-        out,
-        "  pruned {} subtree(s), dominance cut {} symmetric branch(es)",
-        stats.off_chip_pruned_subtrees, stats.off_chip_dominance_cuts
-    );
-    let _ = writeln!(
-        out,
-        "  {} incremental bound updates (no full re-summations in the hot loops)",
-        stats.bound_incremental_updates
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,25 +179,5 @@ mod tests {
         assert!(s.contains("on-chip SRAM"));
         assert!(s.contains("off-chip EDO"));
         assert!(s.contains("frame"));
-    }
-
-    #[test]
-    fn search_report_shows_every_counter() {
-        let spec = spec();
-        let sched = scbd::distribute(&spec).unwrap();
-        let lib = MemLibrary::default_07um();
-        let (_, stats) = assign_with_stats(&spec, &sched, &lib, &AllocOptions::default()).unwrap();
-        let s = search_report(&stats);
-        assert!(s.contains("Allocation search effort"));
-        assert!(s.contains("dominance cut"));
-        assert!(s.contains("incremental bound updates"));
-        assert!(
-            s.contains(&format!(
-                "{} incremental bound updates",
-                stats.bound_incremental_updates
-            )),
-            "{s}"
-        );
-        assert!(stats.bound_incremental_updates > 0, "{stats:?}");
     }
 }

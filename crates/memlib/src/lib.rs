@@ -4,7 +4,8 @@
 //! characteristics": a proprietary 0.7 µm on-chip SRAM *module generator*
 //! with vendor area/power functions, and the Siemens EDO DRAM datasheet
 //! power table for off-chip components. Both are proprietary/unavailable,
-//! so this crate provides faithful stand-ins (see DESIGN.md §2):
+//! so this crate provides faithful stand-ins (their constants and the
+//! magnitude ranges they target are in [`calibration`]):
 //!
 //! * [`OnChipModel`] — a closed-form area/energy model with the three
 //!   properties the methodology relies on: area grows with bit count plus

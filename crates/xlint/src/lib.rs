@@ -522,8 +522,25 @@ impl Config {
             ],
             fingerprinted: vec![
                 (s("crates/core/src/scbd.rs"), vec![s("SCBD_ALGO_REVISION")]),
+                // Every allocation file whose code can change results.
                 (
-                    s("crates/core/src/alloc.rs"),
+                    s("crates/core/src/alloc/mod.rs"),
+                    vec![s("ALLOC_ALGO_REVISION")],
+                ),
+                (
+                    s("crates/core/src/alloc/search.rs"),
+                    vec![s("ALLOC_ALGO_REVISION")],
+                ),
+                (
+                    s("crates/core/src/alloc/onchip.rs"),
+                    vec![s("ALLOC_ALGO_REVISION")],
+                ),
+                (
+                    s("crates/core/src/alloc/offchip.rs"),
+                    vec![s("ALLOC_ALGO_REVISION"), s("OFF_CHIP_BLOCKS_ALGO_REVISION")],
+                ),
+                (
+                    s("crates/core/src/alloc/key.rs"),
                     vec![s("ALLOC_ALGO_REVISION"), s("OFF_CHIP_BLOCKS_ALGO_REVISION")],
                 ),
                 (

@@ -44,8 +44,9 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for complete walkthroughs, DESIGN.md for the system
-//! inventory and EXPERIMENTS.md for the paper-versus-measured record.
+//! See `examples/` for complete walkthroughs, `docs/architecture.md` for
+//! the crate map and dataflow, and the README's "Paper-table conformance
+//! suite" section for the reproduced tables and their golden snapshot.
 
 pub use memx_btpc as btpc;
 pub use memx_core as core;
