@@ -28,10 +28,9 @@
 //! The harness is parameterized by an explore function and a skip
 //! predicate via [`SubtreeSearch`]; the search takes its skip predicate
 //! from the solver: on chip strictly (`lb > incumbent`), off chip with
-//! the ulp guard of
-//! [`above_with_slack`] because its suffix floor can be *exactly* tight
-//! in real arithmetic. Everything timing-dependent is confined to this
-//! module; no solver result may depend on it.
+//! the ulp guard of [`above_with_slack`] because its suffix floor can be
+//! *exactly* tight in real arithmetic. Everything timing-dependent is
+//! confined to this module; no solver result may depend on it.
 //!
 //! # Why the result is bit-identical for every worker count
 //!
