@@ -2,7 +2,7 @@
 //! a serial probe stays on the calling thread.
 
 use memx_bench::experiments::{self, RunKnobs, CYCLE_BUDGET};
-use memx_core::engine::thread_spawns_on_current_thread;
+use memx_core::fan::thread_spawns_on_current_thread;
 use memx_ir::{AccessKind, AppSpecBuilder};
 use memx_memlib::MemLibrary;
 

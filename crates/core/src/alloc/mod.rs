@@ -54,16 +54,17 @@
 //!
 //! All three levels fan out over worker threads
 //! ([`AllocOptions::workers`]) and all three return **bit-identical**
-//! results for every worker count. The shared choreography — seed
-//! phase, budget split, published atomic incumbent, claim queue,
-//! canonical-order reduction — lives in one audited copy in
-//! [`crate::fan`]:
+//! results for every worker count. They share one seeded skip-fan —
+//! seed item first, published atomic incumbent, claim queue,
+//! canonical-order reduction — on the crate's one worker pool, in one
+//! audited copy in [`crate::fan`]:
 //!
 //! * the on-chip sweep explores a deterministically-chosen *seed size*
 //!   first (the one with the smallest root lower bound), publishes its
 //!   cost through an atomic (`f64` bits in an `AtomicU64`), and uses it
 //!   *only* to skip whole sizes whose root bound already exceeds it — a
-//!   size that could win the canonical reduction is never skipped;
+//!   size that could win the canonical reduction is never skipped; the
+//!   other sizes are claimed in ascending `k`;
 //! * the branch-and-bound splits the canonical partition tree into a
 //!   fixed number of prefix subtrees, workers claim subtrees from a
 //!   shared queue, and the best incumbent value is published the same
@@ -84,7 +85,7 @@
 //!
 //! When the effective worker count is 1 every level runs inline on the
 //! calling thread — no worker threads are spawned at all (see
-//! [`crate::engine::thread_spawns_on_current_thread`]).
+//! [`crate::fan::thread_spawns_on_current_thread`]).
 
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use std::collections::BTreeMap;

@@ -1,7 +1,10 @@
 //! The on-chip solver: the allocation-size sweep, and for each size `k`
 //! the shared partition search of the on-chip groups into exactly `k`
 //! memories, which degrades to its greedy incumbent when the node
-//! budget runs out.
+//! budget runs out. The sweep runs on the same seeded skip-fan of
+//! [`crate::fan`] as the partition search's prefix subtrees; only its
+//! per-size choices (full node budget, each size's own greedy
+//! incumbent, the worker split) stay here.
 //!
 //! # Lower bounds
 //!
@@ -31,8 +34,7 @@ use super::{
     check_cost_weights, AllocOptions, AllocStats, BoundKind, Instance, MemoryInstance, MemoryKind,
     PortOracle, Traffic,
 };
-use crate::engine::parallel_map;
-use crate::fan::Incumbent;
+use crate::fan::seeded_fan;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
 
@@ -388,15 +390,16 @@ fn on_chip_scalar(mems: &[MemoryInstance], options: &AllocOptions) -> f64 {
     cost.scalar(options.area_weight, options.power_weight)
 }
 
-/// The `k = 1..n` allocation-size sweep, fanned over the worker pool.
+/// The `k = 1..n` allocation-size sweep, fanned over the worker pool by
+/// the seeded skip-fan of [`crate::fan`].
 ///
-/// A deterministically-chosen *seed size* (smallest root lower bound,
-/// earliest on ties) is searched first with the full pool; its cost is
-/// published through an atomic and used only to skip whole sizes whose
-/// root bound strictly exceeds it. The remaining sizes fan over
-/// [`parallel_map`] with the pool split between the sweep and each
-/// size's subtree search, and the results reduce in ascending-`k` order
-/// with strict improvement — bit-identical for every worker count.
+/// The seed size (smallest root lower bound, earliest on ties) is
+/// searched first with the full pool; the remaining sizes are claimed in
+/// ascending `k`, each searched from its own greedy incumbent with the
+/// full node budget and an equal share of the pool, and skipped when
+/// their root bound strictly exceeds the published cost. The results
+/// reduce in ascending-`k` order with strict improvement — bit-identical
+/// for every worker count. Worker clones of the port oracle are dropped.
 pub(super) fn sweep_on_chip(
     inst: &Instance<'_>,
     oracle: &mut PortOracle,
@@ -405,9 +408,6 @@ pub(super) fn sweep_on_chip(
     workers: usize,
     stats: &mut AllocStats,
 ) -> Option<(f64, Vec<MemoryInstance>)> {
-    if counts.is_empty() {
-        return None;
-    }
     let sweep = OnChipSweep::build(inst, options, oracle);
     // Worker budgeting across the two on-chip levels: the sweep claims
     // at most one worker per size and each size's subtree search gets an
@@ -416,69 +416,37 @@ pub(super) fn sweep_on_chip(
     let sweep_workers = workers.min(counts.len()).max(1);
     let inner_workers = (workers / sweep_workers).max(1);
 
-    let root_lb = |k: usize| sweep.bound.bound(0, 0, k);
-    // Seed size: smallest root lower bound, earliest on ties.
-    let mut seed_pos = 0usize;
-    for i in 1..counts.len() {
-        if root_lb(counts[i])
-            .total_cmp(&root_lb(counts[seed_pos]))
-            .is_lt()
-        {
-            seed_pos = i;
-        }
-    }
-    // Seed phase: the whole pool works on the most promising size.
-    let (seed_mems, seed_nodes, seed_updates) =
-        assign_on_chip(&sweep, oracle, counts[seed_pos], workers);
-    let shared = Incumbent::new(
-        seed_mems
-            .as_deref()
-            .map(|m| on_chip_scalar(m, options))
-            .unwrap_or(f64::INFINITY),
+    let bounds: Vec<f64> = counts.iter().map(|&k| sweep.bound.bound(0, 0, k)).collect();
+    let claim_order: Vec<usize> = (0..counts.len()).collect();
+    // A size whose root bound is strictly above a published result can
+    // never win the strict ascending-k reduction: even node-limited, its
+    // outcome is a feasible organization costing at least that bound.
+    let (outcomes, _) = seeded_fan(
+        &bounds,
+        &claim_order,
+        f64::INFINITY,
+        oracle,
+        sweep_workers,
+        |lb, bound| lb > bound,
+        |oracle, i, seed: Option<&_>| {
+            let workers = seed.map_or(workers, |_| inner_workers);
+            let (mems, nodes, updates) = assign_on_chip(&sweep, oracle, counts[i], workers);
+            let best = mems.map(|m| (on_chip_scalar(&m, options), m));
+            (best.as_ref().map(|b| b.0), (best, nodes, updates))
+        },
     );
-    let others: Vec<usize> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != seed_pos)
-        .map(|(_, &k)| k)
-        .collect();
-    let fanned = parallel_map(&others, sweep_workers, |_, &k| {
-        if root_lb(k) > shared.get() {
-            // Strictly above a published result: this size's search —
-            // even node-limited, its outcome is a feasible organization
-            // costing at least the root bound — can never win the
-            // strict ascending-k reduction, so skipping it cannot
-            // change the result regardless of thread timing.
-            return (None, 0u64, 0u64, true);
-        }
-        let mut worker_oracle = oracle.clone();
-        let (mems, nodes, updates) = assign_on_chip(&sweep, &mut worker_oracle, k, inner_workers);
-        if let Some(m) = &mems {
-            shared.publish_min(on_chip_scalar(m, options));
-        }
-        (mems, nodes, updates, false)
-    });
 
     // Canonical reduction in ascending-k input order, strict improvement
     // — the serial sweep's first-found-minimum tie-break.
     let mut best: Option<(f64, Vec<MemoryInstance>)> = None;
-    let mut seed_slot = Some((seed_mems, seed_nodes, seed_updates, false));
-    let mut fanned = fanned.into_iter();
-    for i in 0..counts.len() {
-        let (mems, nodes, updates, skipped) = if i == seed_pos {
-            // memx-lint: allow(no-panic-paths) — the seed slot is taken exactly once (at `i == seed_pos`).
-            seed_slot.take().expect("seed reduced once")
-        } else {
-            // memx-lint: allow(no-panic-paths) — `parallel_map` returns exactly one result per non-seed size.
-            fanned.next().expect("one fanned result per non-seed size")
+    for outcome in outcomes {
+        let Some((found, nodes, updates)) = outcome else {
+            stats.sweep_skips += 1;
+            continue;
         };
         stats.bb_nodes += nodes;
         stats.bound_incremental_updates += updates;
-        if skipped {
-            stats.sweep_skips += 1;
-        }
-        if let Some(m) = mems {
-            let scalar = on_chip_scalar(&m, options);
+        if let Some((scalar, m)) = found {
             if best.as_ref().map(|(s, _)| scalar < *s).unwrap_or(true) {
                 best = Some((scalar, m));
             }

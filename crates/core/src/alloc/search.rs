@@ -5,9 +5,9 @@
 //! members are added in ascending local index, so iterating a mask's set
 //! bits replays the push order and every float fold over a bin keeps it.
 //! The tree is split into [`TARGET_SUBTREES`] prefix subtrees, fanned
-//! over the workers by [`crate::fan`], and the outcomes reduce in
-//! canonical order with strict improvement — the serial
-//! first-found-minimum tie-break.
+//! over the workers by the seeded skip-fan of [`crate::fan`], and the
+//! outcomes reduce in canonical order with strict improvement — the
+//! serial first-found-minimum tie-break.
 //!
 //! A solver supplies only what differs ([`PartitionSolver`]); the
 //! bin-count range is data ([`Search::min_bins`], [`Search::max_bins`]).
@@ -26,7 +26,7 @@
 //!    counting; off chip counting stops at `limit + 1`.
 
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
-use crate::fan::{fan_subtrees, SubtreeSearch, TARGET_SUBTREES};
+use crate::fan::{seeded_fan, TARGET_SUBTREES};
 
 /// Set-bit positions of `mask`, ascending — a bin's members in push
 /// order.
@@ -180,6 +180,16 @@ impl<S: PartitionSolver> Search<'_, S> {
     /// and reduces the outcomes in canonical order with strict
     /// improvement, starting from `start` (a greedy solution, or `None`
     /// when the greedy value only bounds).
+    ///
+    /// The seed subtree gets `outer` and the full node budget; the
+    /// others are explored against the seed's value (or `outer`) with an
+    /// even split of what the seed left — when the search is exact the
+    /// seed finishes cheaply and the others keep a full share, and when
+    /// the limit is exhausted they degrade to zero-budget probes instead
+    /// of doubling the total node spend. Subtrees are claimed
+    /// most-promising-first (ascending root bound, ties by index), so the
+    /// published incumbent tightens as early as possible. Worker memos
+    /// are folded back after the fan.
     pub fn run(
         &self,
         memo: &mut S::Memo,
@@ -193,7 +203,31 @@ impl<S: PartitionSolver> Search<'_, S> {
             .iter()
             .map(|p| self.lower_bound(&p.sum, p.depth))
             .collect();
-        let collected = fan_subtrees(self, &prefixes, &bounds, memo, outer, node_limit, workers);
+        let mut claim_order: Vec<usize> = (0..prefixes.len()).collect();
+        claim_order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+        let value = |r: &Outcome| r.best.as_ref().map(|b| b.0);
+        let (collected, worker_memos) = seeded_fan(
+            &bounds,
+            &claim_order,
+            outer,
+            memo,
+            workers,
+            |lb, bound| self.solver.skip(lb, bound),
+            |memo, j, seed: Option<&Outcome>| {
+                let (outer, budget) = match seed {
+                    None => (outer, node_limit),
+                    Some(seed) => (
+                        value(seed).unwrap_or(outer),
+                        node_limit.saturating_sub(seed.nodes) / prefixes.len() as u64,
+                    ),
+                };
+                let out = self.explore(memo, &prefixes[j], outer, budget);
+                (value(&out), out)
+            },
+        );
+        for worker in worker_memos {
+            self.solver.merge_memo(memo, worker);
+        }
 
         let (mut best_val, mut best) = match start {
             Some((val, bins)) => (val, Some(bins)),
@@ -311,12 +345,9 @@ impl<S: PartitionSolver> Dfs<'_, '_, S> {
     }
 }
 
-/// The fan adapter: per-worker state is the solver's pricing memo.
-impl<S: PartitionSolver> SubtreeSearch for Search<'_, S> {
-    type Prefix = Prefix<S::Sum>;
-    type State = S::Memo;
-    type Outcome = Outcome;
-
+impl<S: PartitionSolver> Search<'_, S> {
+    /// Explores the subtree under prefix `p` against the fixed outer
+    /// bound `outer` with a private node budget `budget`.
     fn explore(&self, memo: &mut S::Memo, p: &Prefix<S::Sum>, outer: f64, budget: u64) -> Outcome {
         let mut dfs = Dfs {
             search: self,
@@ -335,21 +366,5 @@ impl<S: PartitionSolver> SubtreeSearch for Search<'_, S> {
             dfs.recurse(memo, p.depth, &mut p.sum.clone(), p.prev_choice);
         }
         dfs.out
-    }
-
-    fn value(&self, r: &Outcome) -> Option<f64> {
-        r.best.as_ref().map(|b| b.0)
-    }
-
-    fn nodes(&self, r: &Outcome) -> u64 {
-        r.nodes
-    }
-
-    fn skip_above(&self, lb: f64, bound: f64) -> bool {
-        self.solver.skip(lb, bound)
-    }
-
-    fn merge_state(&self, main: &mut S::Memo, worker: S::Memo) {
-        self.solver.merge_memo(main, worker);
     }
 }

@@ -637,7 +637,7 @@ fn serial_assignment_spawns_no_threads() {
     // not interfere) must not move.
     let spec = off_heavy_spec();
     let s = scbd::distribute(&spec).unwrap();
-    let before = crate::engine::thread_spawns_on_current_thread();
+    let before = crate::fan::thread_spawns_on_current_thread();
     let org = assign_org(
         &spec,
         &s,
@@ -650,7 +650,7 @@ fn serial_assignment_spawns_no_threads() {
     .unwrap();
     assert!(org.on_chip_count() >= 1);
     assert_eq!(
-        crate::engine::thread_spawns_on_current_thread(),
+        crate::fan::thread_spawns_on_current_thread(),
         before,
         "workers=1 assignment spawned a thread"
     );
@@ -660,7 +660,7 @@ fn serial_assignment_spawns_no_threads() {
     // the bound prunes the off-chip tree.)
     let spec = plateau_off_chip_spec(10);
     let s = scbd::distribute(&spec).unwrap();
-    let before = crate::engine::thread_spawns_on_current_thread();
+    let before = crate::fan::thread_spawns_on_current_thread();
     assign_org(
         &spec,
         &s,
@@ -671,7 +671,7 @@ fn serial_assignment_spawns_no_threads() {
         },
     )
     .unwrap();
-    assert!(crate::engine::thread_spawns_on_current_thread() > before);
+    assert!(crate::fan::thread_spawns_on_current_thread() > before);
 }
 
 /// `count` mutually-compatible off-chip groups (light, non-overlapping

@@ -4,15 +4,17 @@
 //! budget sweeps (Table 3), allocation sweeps (Table 4), structuring and
 //! hierarchy variants (Tables 1–2). The feedback loop only turns as
 //! fast as the slowest batch, so the [`Engine`] fans a set of
-//! [`DesignPoint`]s across a worker pool and folds the reports back in
-//! input order — results are **bit-identical** to evaluating the points
-//! one by one (the allocation search itself is deterministic for every
-//! worker count, see [`crate::alloc`]).
+//! [`DesignPoint`]s across the crate's one worker pool ([`crate::fan`])
+//! and streams the reports back in input order — results are
+//! **bit-identical** to evaluating the points one by one (the
+//! allocation search itself is deterministic for every worker count,
+//! see [`crate::alloc`]).
 //!
 //! The engine also memoizes storage-cycle-budget distribution across the
 //! batch: design points whose `(spec content hash, cycle budget)` match
 //! share one [`ScbdResult`] instead of re-balancing the flow graphs per
-//! point — a Table-4 sweep schedules once, not once per allocation.
+//! point — a Table-4 sweep schedules once, not once per allocation — and
+//! each schedule is released after its last use, for every worker count.
 //!
 //! # Example
 //!
@@ -51,9 +53,8 @@
 //! # }
 //! ```
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use memx_ir::AppSpec;
@@ -61,7 +62,7 @@ use memx_memlib::MemLibrary;
 
 use crate::cache::{EvalCache, EvalCtx};
 use crate::explore::{evaluate_scheduled, CostReport, EvaluateOptions, Exploration};
-use crate::fan::ClaimQueue;
+use crate::fan::pool;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
 
@@ -72,26 +73,12 @@ pub fn auto_workers() -> usize {
         .unwrap_or(1)
 }
 
-thread_local! {
-    /// Worker threads spawned *from this thread* by the crate's fan-out
-    /// machinery. Thread-local so concurrent test runners never see each
-    /// other's spawns.
-    static THREAD_SPAWNS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of worker threads this crate has spawned from the current
-/// thread — instrumentation backing the guarantee that an effective
-/// worker count of 1 takes the straight serial path (no thread is
-/// spawned, by [`parallel_map`] or any allocation fan-out).
-#[doc(hidden)]
-pub fn thread_spawns_on_current_thread() -> u64 {
-    THREAD_SPAWNS.with(|c| c.get())
-}
-
-/// Records one worker-thread spawn (called right before every
-/// `scope.spawn` in this crate).
-pub(crate) fn note_thread_spawn() {
-    THREAD_SPAWNS.with(|c| c.set(c.get() + 1));
+/// The schedule memo of one `(spec hash, budget)` key in a stream: the
+/// distribution once computed, and how many points still need it.
+#[derive(Default)]
+struct ScheduleSlot {
+    schedule: Option<Result<ScbdResult, ExploreError>>,
+    uses: usize,
 }
 
 /// One labeled variant to evaluate: a specification plus the evaluation
@@ -195,42 +182,42 @@ impl<'l> Engine<'l> {
     /// predecessors) complete — the visitor is called exactly once per
     /// point, on the calling thread.
     ///
-    /// This is the memory-frugal path for very large batches: reports
-    /// carry full schedules, and a materializing API
-    /// ([`Engine::evaluate_many`]) keeps every one of them alive at
-    /// once. Here a report's lifetime is the visitor call. With one
-    /// worker the batch truly streams: schedules are distributed
-    /// lazily, memoized only while a later point still shares them, and
-    /// dropped after their last use — a unique-budget sweep (Table 3)
-    /// holds one schedule and one report at a time, whatever the row
-    /// count. With many workers the unique schedules are distributed up
-    /// front across the pool (and retained for the stream's duration),
-    /// and out-of-order completions wait in a reorder window bounded by
-    /// the evaluation skew, not the batch size.
+    /// Reports carry full schedules, so a report's lifetime is the
+    /// visitor call, and schedules are distributed lazily: the first
+    /// point that needs a `(spec, budget)` pair distributes it (exactly
+    /// once — points sharing the pair wait for it), later points share
+    /// the memoized result, and the last one takes it, so the schedule
+    /// is dropped after its last use. A unique-budget sweep (Table 3)
+    /// with one worker therefore holds one schedule and one report at a
+    /// time, whatever the row count; with many workers, out-of-order
+    /// completions wait in the pool's reorder window, bounded by the
+    /// evaluation skew, not the batch size.
     ///
-    /// Points sharing a `(spec, budget)` pair reuse one memoized
-    /// schedule, served from the persistent cache when one is attached
-    /// — each freshly computed schedule is published to disk as it
-    /// completes. Results are bit-identical to calling
+    /// Schedules are served from the persistent cache when one is
+    /// attached — each freshly computed schedule is published to disk
+    /// as it completes. Results are bit-identical to calling
     /// [`crate::explore::evaluate`] per point, for any worker count,
     /// cached or not.
-    pub fn evaluate_stream<F>(&self, points: &[DesignPoint], mut visit: F)
+    pub fn evaluate_stream<F>(&self, points: &[DesignPoint], visit: F)
     where
         F: FnMut(usize, Result<CostReport, ExploreError>),
     {
-        // Key every point by (spec content, budget) and record each
-        // key's last use, so the serial path can drop schedules the
-        // moment no later point shares them.
-        let mut key_of_point: Vec<(u64, u64)> = Vec::with_capacity(points.len());
-        let mut last_use: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-        for (i, point) in points.iter().enumerate() {
-            let budget = point
-                .options
-                .cycle_budget
-                .unwrap_or_else(|| point.spec.cycle_budget());
-            let key = (point.spec.content_hash(), budget);
-            key_of_point.push(key);
-            last_use.insert(key, i);
+        // Key every point by (spec content, budget) and count each
+        // key's uses, so the last one can take the schedule.
+        let keys: Vec<(u64, u64)> = points
+            .iter()
+            .map(|point| {
+                let budget = point
+                    .options
+                    .cycle_budget
+                    .unwrap_or_else(|| point.spec.cycle_budget());
+                (point.spec.content_hash(), budget)
+            })
+            .collect();
+        let mut slots: BTreeMap<(u64, u64), Mutex<ScheduleSlot>> = BTreeMap::new();
+        for &key in &keys {
+            let slot = slots.entry(key).or_default();
+            slot.get_mut().unwrap_or_else(|p| p.into_inner()).uses += 1;
         }
 
         // Points whose allocation search is on auto (`workers == 0`)
@@ -248,9 +235,24 @@ impl<'l> Engine<'l> {
             lib: self.lib,
             cache: self.cache.as_deref(),
         };
-        let evaluate_scheduled_point = |point: &DesignPoint,
-                                        schedule: Result<ScbdResult, ExploreError>|
-         -> Result<CostReport, ExploreError> {
+        let evaluate_point = |_: &mut (), i: usize| -> Result<CostReport, ExploreError> {
+            let (point, key) = (&points[i], keys[i]);
+            let schedule = {
+                // The slot stays locked while its schedule is computed,
+                // so a key is distributed once. A poisoned lock can only
+                // come from a sibling panicking mid-distribution; the
+                // slot is plain data, so recovering it is always safe.
+                let mut slot = slots[&key].lock().unwrap_or_else(|p| p.into_inner());
+                let schedule = slot
+                    .schedule
+                    .take()
+                    .unwrap_or_else(|| ctx.distribute(point.spec, key.1));
+                slot.uses -= 1;
+                if slot.uses > 0 {
+                    slot.schedule = Some(schedule.clone());
+                }
+                schedule
+            };
             let mut options = point.options.clone();
             if options.alloc.workers == 0 {
                 options.alloc.workers = alloc_workers;
@@ -259,103 +261,7 @@ impl<'l> Engine<'l> {
             report.label = point.label.clone();
             Ok(report)
         };
-
-        if point_workers <= 1 || points.len() <= 1 {
-            // Straight serial path: no thread, no buffering. Schedules
-            // are computed lazily at their first use, memoized only
-            // while a later point still shares them, and handed over
-            // (not cloned) at their last use.
-            let mut memo: BTreeMap<(u64, u64), Result<ScbdResult, ExploreError>> = BTreeMap::new();
-            for (i, point) in points.iter().enumerate() {
-                let key = key_of_point[i];
-                let distribute = || ctx.distribute(point.spec, key.1);
-                let schedule = if last_use[&key] == i {
-                    memo.remove(&key).unwrap_or_else(distribute)
-                } else {
-                    memo.entry(key).or_insert_with(distribute).clone()
-                };
-                visit(i, evaluate_scheduled_point(point, schedule));
-            }
-            return;
-        }
-
-        // Parallel phase 1: one SCBD distribution per unique key,
-        // fanned over the full pool; the map lives for the whole
-        // stream (workers consume schedules in claim order, so no
-        // per-key lifetime can be tracked without synchronizing on the
-        // visitor — the reports themselves still stream).
-        let mut unique: Vec<(&DesignPoint, u64)> = Vec::new();
-        let mut seen: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-        for (i, point) in points.iter().enumerate() {
-            seen.entry(key_of_point[i]).or_insert_with(|| {
-                unique.push((point, key_of_point[i].1));
-                unique.len() - 1
-            });
-        }
-        let schedules = parallel_map(&unique, self.workers, |_, &(point, budget)| {
-            ctx.distribute(point.spec, budget)
-        });
-        let scheduled: BTreeMap<(u64, u64), Result<ScbdResult, ExploreError>> = seen
-            .into_iter()
-            .map(|(key, idx)| (key, schedules[idx].clone()))
-            .collect();
-        let evaluate_point = |i: usize, point: &DesignPoint| {
-            let schedule = scheduled
-                .get(&key_of_point[i])
-                // memx-lint: allow(no-panic-paths) — `seen` was filled from the same `key_of_point` entries, so every key is pre-scheduled.
-                .expect("every key pre-scheduled")
-                .clone();
-            evaluate_scheduled_point(point, schedule)
-        };
-
-        // Parallel phase 2: workers claim indices dynamically and send
-        // completions over a channel; the calling thread reorders them
-        // into input order. Equivalent to `parallel_map` but without
-        // the all-results-alive slot vector.
-        let queue = ClaimQueue::new();
-        let (tx, rx) = mpsc::channel::<(usize, Result<CostReport, ExploreError>)>();
-        thread::scope(|scope| {
-            for _ in 0..point_workers {
-                let tx = tx.clone();
-                note_thread_spawn();
-                scope.spawn(|| {
-                    let tx = tx; // move the clone, not the original
-                    while let Some(i) = queue.claim(points.len()) {
-                        if tx.send((i, evaluate_point(i, &points[i]))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut pending: BTreeMap<usize, Result<CostReport, ExploreError>> = BTreeMap::new();
-            let mut expected = 0usize;
-            for (i, result) in rx {
-                pending.insert(i, result);
-                while let Some(result) = pending.remove(&expected) {
-                    visit(expected, result);
-                    expected += 1;
-                }
-            }
-            debug_assert!(pending.is_empty(), "every completion delivered in order");
-        });
-    }
-
-    /// Evaluates every design point, fanning the batch across the worker
-    /// pool, and returns the per-point results in input order.
-    ///
-    /// This is the materializing convenience over
-    /// [`Engine::evaluate_stream`]; prefer the streaming path when the
-    /// batch is large or reports are consumed one at a time.
-    pub fn evaluate_many(&self, points: &[DesignPoint]) -> Vec<Result<CostReport, ExploreError>> {
-        let mut results: Vec<Option<Result<CostReport, ExploreError>>> =
-            (0..points.len()).map(|_| None).collect();
-        self.evaluate_stream(points, |i, result| results[i] = Some(result));
-        results
-            .into_iter()
-            // memx-lint: allow(no-panic-paths) — `evaluate_stream` calls the visitor exactly once per input index.
-            .map(|slot| slot.expect("stream visits every point exactly once"))
-            .collect()
+        pool(points.len(), self.workers, &mut (), evaluate_point, visit);
     }
 
     /// Evaluates every design point and folds the reports into an
@@ -388,50 +294,29 @@ impl<'l> Engine<'l> {
 /// on up to `workers` threads (`0` = one per available core) and
 /// returns the results in input order.
 ///
-/// The scheduling is dynamic (an atomic claim counter), but since every
-/// result lands in its input slot the output is independent of timing.
-/// With one resolved worker or fewer than two items the map runs inline
-/// on the calling thread.
+/// The scheduling is dynamic (the claim queue of [`crate::fan`]), but
+/// the results come back in input order, so the output is independent
+/// of timing. With one resolved worker or fewer than two items the map
+/// runs inline on the calling thread.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
     let workers = match workers {
         0 => auto_workers(),
         w => w,
-    }
-    .min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let queue = ClaimQueue::new();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            note_thread_spawn();
-            scope.spawn(|| {
-                while let Some(i) = queue.claim(n) {
-                    let r = f(i, &items[i]);
-                    // A poisoned slot lock can only come from a sibling
-                    // worker panicking mid-store; the slot is a plain
-                    // `Option`, so recovering the lock is always safe.
-                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                // memx-lint: allow(no-panic-paths) — the claim queue hands out every index exactly once, so each slot was filled.
-                .expect("every slot filled by a worker")
-        })
-        .collect()
+    };
+    let mut out = Vec::with_capacity(items.len());
+    pool(
+        items.len(),
+        workers,
+        &mut (),
+        |_, i| f(i, &items[i]),
+        |_, r| out.push(r),
+    );
+    out
 }
 
 #[cfg(test)]
@@ -439,6 +324,7 @@ mod tests {
     use super::*;
     use crate::alloc::AllocOptions;
     use crate::explore::evaluate;
+    use crate::fan::thread_spawns_on_current_thread;
     use memx_ir::{AccessKind, AppSpecBuilder};
 
     fn spec(name: &str) -> AppSpec {
@@ -469,14 +355,25 @@ mod tests {
             .collect()
     }
 
+    /// Every point's result, collected through the stream.
+    fn collect(engine: &Engine, points: &[DesignPoint]) -> Vec<Result<CostReport, ExploreError>> {
+        let mut results = Vec::with_capacity(points.len());
+        engine.evaluate_stream(points, |i, result| {
+            assert_eq!(i, results.len(), "visited in input order");
+            results.push(result);
+        });
+        assert_eq!(results.len(), points.len(), "every point visited");
+        results
+    }
+
     #[test]
-    fn evaluate_many_matches_individual_evaluation() {
+    fn evaluate_stream_matches_individual_evaluation() {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
         for workers in [1, 4] {
             let engine = Engine::builder(&lib).workers(workers).build();
-            let batch = engine.evaluate_many(&points);
+            let batch = collect(&engine, &points);
             assert_eq!(batch.len(), points.len());
             for (result, point) in batch.iter().zip(&points) {
                 let solo = evaluate(&spec, &lib, &point.options);
@@ -517,7 +414,7 @@ mod tests {
             })
             .collect();
         let engine = Engine::builder(&lib).workers(2).build();
-        for (result, point) in engine.evaluate_many(&points).iter().zip(&points) {
+        for (result, point) in collect(&engine, &points).iter().zip(&points) {
             let solo = evaluate(&spec, &lib, &point.options).unwrap();
             let batch = result.as_ref().unwrap();
             assert_eq!(batch.cost, solo.cost);
@@ -572,10 +469,7 @@ mod tests {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
-        let many = Engine::builder(&lib)
-            .workers(1)
-            .build()
-            .evaluate_many(&points);
+        let many = collect(&Engine::builder(&lib).workers(1).build(), &points);
         for workers in [1, 2, 8] {
             let engine = Engine::builder(&lib).workers(workers).build();
             let mut visited: Vec<usize> = Vec::new();
@@ -588,7 +482,7 @@ mod tests {
                         assert_eq!(a.organization, b.organization);
                     }
                     (Err(a), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("stream {a:?} vs many {b:?}"),
+                    (a, b) => panic!("stream {a:?} vs serial {b:?}"),
                 }
             });
             assert_eq!(visited, vec![0, 1, 2, 3], "workers={workers}");
@@ -624,10 +518,7 @@ mod tests {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
-        let plain = Engine::builder(&lib)
-            .workers(2)
-            .build()
-            .evaluate_many(&points);
+        let plain = collect(&Engine::builder(&lib).workers(2).build(), &points);
         // Cold pass fills the cache, warm pass is served from it; both
         // must equal the uncached reports exactly.
         let mut cold_stats = None;
@@ -636,7 +527,7 @@ mod tests {
                 .workers(2)
                 .eval_cache(Arc::clone(&cache))
                 .build();
-            for (result, reference) in engine.evaluate_many(&points).iter().zip(&plain) {
+            for (result, reference) in collect(&engine, &points).iter().zip(&plain) {
                 match (result, reference) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.cost, b.cost, "{pass}");
@@ -682,6 +573,62 @@ mod tests {
             "warm pass serves every allocation from disk"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn engine_distributes_each_key_once_at_every_worker_count() {
+        // A Table-4-style batch: each budget repeats once per allocation
+        // size, interleaved so repeated keys are never neighbours. On a
+        // cold cache every distinct schedulable key is distributed once
+        // (the too-tight budget fails and errors are never cached).
+        let lib = MemLibrary::default_07um();
+        let spec = spec("t");
+        let points: Vec<DesignPoint> = [1u32, 2, 3]
+            .iter()
+            .flat_map(|&k| {
+                [100_000u64, 50_000, 10].map(|budget| {
+                    DesignPoint::new(
+                        format!("k={k} budget {budget}"),
+                        &spec,
+                        EvaluateOptions {
+                            cycle_budget: Some(budget),
+                            alloc: AllocOptions {
+                                on_chip_memories: Some(k),
+                                ..AllocOptions::default()
+                            },
+                        },
+                    )
+                })
+            })
+            .collect();
+        let reference = collect(&Engine::builder(&lib).workers(1).build(), &points);
+        for workers in [1, 2, 8] {
+            let dir = std::env::temp_dir().join(format!(
+                "memx-engine-keys-{}-{:?}-{workers}",
+                std::process::id(),
+                thread::current().id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let cache = Arc::new(EvalCache::open(&dir).unwrap());
+            let engine = Engine::builder(&lib)
+                .workers(workers)
+                .eval_cache(Arc::clone(&cache))
+                .build();
+            for (result, expected) in collect(&engine, &points).iter().zip(&reference) {
+                match (result, expected) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.cost, b.cost, "workers={workers}");
+                        assert_eq!(a.organization, b.organization, "workers={workers}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "workers={workers}"),
+                    (a, b) => panic!("workers={workers}: {a:?} vs {b:?}"),
+                }
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.scbd_misses, 2, "workers={workers}");
+            assert_eq!(stats.scbd_hits, 0, "workers={workers}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,86 +1,106 @@
-//! The generic deterministic subtree-fan harness.
+//! The one worker pool of `memx-core`, and the seeded skip-fan built on
+//! it. This is the only module of the crate that spawns threads.
 //!
-//! Both exact solvers of [`crate::alloc`] — the on-chip partition
-//! branch-and-bound and the off-chip set-partition branch-and-bound —
-//! run one shared canonical-partition search (`alloc/search.rs`, the
-//! only [`SubtreeSearch`] implementation), which fans its tree over
-//! worker threads with this choreography:
+//! **The pool** (`pool`) hands the indices `0..n` to up to `workers`
+//! scoped threads through a claim queue. Each thread works on its own
+//! clone of the caller's state and hands it back after the join; the
+//! results reach a visitor on the calling thread **in index order**,
+//! through a channel and a reorder window bounded by the completion
+//! skew. With an effective worker count of 1 (`min(workers, n) <= 1`)
+//! it runs inline on the caller's state and spawns nothing. Every
+//! fan-out of the crate goes through it: the engine's point stream
+//! ([`crate::engine::Engine::evaluate_stream`]),
+//! [`crate::engine::parallel_map`], and the seeded skip-fan below.
 //!
-//! 1. the canonical tree is split into deterministic **prefix
-//!    subtrees** (at least [`TARGET_SUBTREES`] of them, breadth-first in
-//!    depth-first child order, so the prefix sequence preserves the
-//!    serial visiting order);
-//! 2. a **seed subtree** — the one with the smallest root lower bound,
-//!    earliest on ties — is explored first, alone, with the full node
-//!    budget, against the (deterministic) greedy incumbent;
-//! 3. the seed's result value is published through an **atomic
-//!    incumbent** (`f64` bits in an [`AtomicU64`]) and the remaining
-//!    node budget is split evenly over the subtrees;
-//! 4. workers claim subtrees from a shared **claim queue** in
-//!    most-promising-first order; a claimed subtree is *skipped* when
-//!    its root lower bound is above the published incumbent, otherwise
-//!    it is explored against the **fixed** seed value with its private
-//!    budget, and any real result tightens the published incumbent;
-//! 5. the per-subtree outcomes are handed back **in canonical prefix
-//!    order** so the caller's strict-improvement reduction reproduces
-//!    the serial first-found-minimum tie-break bit for bit.
+//! **The seeded skip-fan** (`seeded_fan`) runs a set of independent
+//! searches, each with a root lower bound, so that their outcomes
+//! reduce exactly as a serial loop would. Two callers use it: the
+//! canonical-partition branch-and-bound of [`crate::alloc`] fans its
+//! prefix subtrees, and the on-chip sweep fans its allocation sizes.
+//! The choreography:
 //!
-//! The harness is parameterized by an explore function and a skip
-//! predicate via [`SubtreeSearch`]; the search takes its skip predicate
-//! from the solver: on chip strictly (`lb > incumbent`), off chip with
-//! the ulp guard of [`above_with_slack`] because its suffix floor can be
-//! *exactly* tight in real arithmetic. Everything timing-dependent is
-//! confined to this module; no solver result may depend on it.
+//! 1. a **seed item** — the one with the smallest root lower bound,
+//!    earliest on ties — is explored first, alone, on the caller's
+//!    state (the caller gives it the full node budget and the full
+//!    pool);
+//! 2. the seed's value is published through an **atomic incumbent**
+//!    (`f64` bits in an [`AtomicU64`]);
+//! 3. the pool's workers claim the other items in the caller's claim
+//!    order (subtrees most-promising-first, sizes in ascending `k`); a
+//!    claimed item is *skipped* when its root lower bound is above the
+//!    published incumbent, otherwise it is explored with the seed's
+//!    outcome at hand (the subtree search takes its outer bound and its
+//!    budget split from it), and any real result tightens the
+//!    published incumbent;
+//! 4. the outcomes are handed back **in canonical order** (`None` for a
+//!    skipped item) so the caller's strict-improvement reduction
+//!    reproduces the serial first-found-minimum tie-break bit for bit.
+//!
+//! The skip predicate is the caller's: the on-chip searches skip
+//! strictly (`lb > incumbent`), the off-chip search with the ulp guard
+//! of [`above_with_slack`] because its suffix floor can be *exactly*
+//! tight in real arithmetic. Everything timing-dependent is confined to
+//! this module; no solver result may depend on it.
 //!
 //! # Why the result is bit-identical for every worker count
 //!
-//! * the subtree split, the seed choice, the seed search and the budget
-//!   split are pure functions of deterministic inputs;
-//! * the published incumbent is used **only** to skip whole subtrees
-//!   whose root lower bound is above it. The incumbent is monotonically
+//! * the seed choice and the seed search are pure functions of
+//!   deterministic inputs, and so is everything the caller derives from
+//!   the seed's outcome (outer bound, budget split);
+//! * the published incumbent is used **only** to skip whole items whose
+//!   root lower bound is above it. The incumbent is monotonically
 //!   non-increasing and always the value of a *real* candidate, so a
-//!   skipped subtree provably cannot win a strict-improvement
-//!   reduction — skipping removes only subtrees that lose anyway;
-//! * every non-seed subtree is explored against the *fixed* seed value
-//!   (never the evolving incumbent) with a deterministic budget, so each
-//!   outcome is a pure function of its prefix;
-//! * outcomes reduce in canonical prefix order, independent of
-//!   completion order.
+//!   skipped item provably cannot win a strict-improvement reduction —
+//!   skipping removes only items that lose anyway;
+//! * every non-seed item is explored against deterministic inputs
+//!   (never the evolving incumbent), so each outcome is a pure function
+//!   of its item and the seed;
+//! * outcomes reduce in canonical order, independent of completion
+//!   order.
+//!
+//! Worker states must be caches of pure functions (pricing memos): a
+//! worker's state may change how fast an item is explored, never what
+//! the exploration returns.
 //!
 //! # Atomics and memory-ordering audit
 //!
 //! This module is the only place in the workspace where solver-facing
 //! atomics live (enforced by `memx-lint`'s `atomics-confined` lint; the
 //! cache's statistics counters and the profiler's access counters are
-//! the two allowlisted exceptions). Every operation uses
+//! the two allowlisted exceptions). Every atomic operation uses
 //! `Ordering::Relaxed`, which is sufficient — per atomic:
 //!
-//! * **[`Incumbent`]** (`AtomicU64` holding `f64` bits): *skip-only*
+//! * **`Incumbent`** (`AtomicU64` holding `f64` bits): *skip-only*
 //!   usage. Readers never order payload reads against it — the value
 //!   gates nothing but the "explore vs. skip" decision, and both
 //!   branches are correct for *any* previously published value: a stale
 //!   (too high) read only explores more, never less, and a fresh read
-//!   can only skip subtrees whose bound is above a real candidate's
-//!   value. The monotone-minimum CAS loop needs no ordering either: bit
+//!   can only skip items whose bound is above a real candidate's value.
+//!   The monotone-minimum CAS loop needs no ordering either: bit
 //!   patterns of the candidate values are data, not ordering tokens.
-//! * **[`ClaimQueue`]** (`AtomicUsize` counter): `fetch_add` is an
-//!   atomic read-modify-write, so every claim index is handed out
-//!   exactly once — the only property the queue needs. No payload is
-//!   transferred through the counter itself.
-//! * **Result hand-off** happens through per-subtree [`Mutex`] slots
-//!   written by the claiming worker and read only after
-//!   [`std::thread::scope`] joins every worker — the scope join provides
-//!   the happens-before edge, so the slots need no atomic ordering at
-//!   all. **Worker-state hand-back** (for
-//!   [`SubtreeSearch::merge_state`]) rides the same edge: each scoped
-//!   thread returns its state through its join handle, and the merge
-//!   runs on the calling thread after every join.
+//! * **`ClaimQueue`** (`AtomicUsize` counter): `fetch_add` is an atomic
+//!   read-modify-write, so every claim index is handed out exactly once
+//!   — the only property the queue needs. No payload is transferred
+//!   through the counter itself.
+//!
+//! The payloads travel without atomics:
+//!
+//! * **Result hand-off** goes through the pool's [`mpsc`] channel: each
+//!   worker sends `(index, result)` and the calling thread receives it.
+//!   A send happens-before the matching receive, so the visitor sees a
+//!   fully written result; the reorder window lives on the calling
+//!   thread only.
+//! * **Worker-state hand-back** rides the join: each scoped thread
+//!   returns its state through its join handle, and the caller folds
+//!   (or drops) the states after every join.
+//! * **The seed's outcome** is written before the scope starts and only
+//!   read inside it; the spawn provides the happens-before edge.
 
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 use std::thread;
-
-use crate::engine::note_thread_spawn;
 
 /// How many canonical-prefix subtrees a fanned search splits into.
 /// Deliberately a constant (not a function of the worker count) so the
@@ -99,22 +119,40 @@ pub fn above_with_slack(lb: f64, bound: f64) -> bool {
     lb > bound + bound.abs() * 1e-12
 }
 
+thread_local! {
+    /// Worker threads the pool spawned *from this thread*. Thread-local
+    /// so concurrent test runners never see each other's spawns.
+    static THREAD_SPAWNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of worker threads the pool has spawned from the current
+/// thread — instrumentation backing the guarantee that an effective
+/// worker count of 1 runs inline (no thread is spawned by the engine,
+/// [`crate::engine::parallel_map`] or any allocation fan-out).
+#[doc(hidden)]
+pub fn thread_spawns_on_current_thread() -> u64 {
+    THREAD_SPAWNS.with(|c| c.get())
+}
+
+/// Records one worker-thread spawn (called right before the pool's
+/// `scope.spawn`).
+fn note_thread_spawn() {
+    THREAD_SPAWNS.with(|c| c.set(c.get() + 1));
+}
+
 /// A published monotone-minimum incumbent value: `f64` bits in an
 /// [`AtomicU64`], shared between fan workers and used **only** to skip
 /// work whose lower bound is above it (see the module docs for why
 /// `Relaxed` is sufficient).
 #[derive(Debug)]
-pub struct Incumbent(AtomicU64);
+struct Incumbent(AtomicU64);
 
 impl Incumbent {
-    /// An incumbent starting at `val` (the seed or greedy value;
-    /// `f64::INFINITY` when no candidate exists yet).
-    pub fn new(val: f64) -> Self {
+    fn new(val: f64) -> Self {
         Incumbent(AtomicU64::new(val.to_bits()))
     }
 
-    /// The best value published so far.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 
@@ -122,7 +160,7 @@ impl Incumbent {
     /// value (lock-free monotone minimum; compares as floats, though bit
     /// order and value order coincide for the non-negative costs the
     /// solvers publish).
-    pub fn publish_min(&self, val: f64) {
+    fn publish_min(&self, val: f64) {
         let mut cur = self.0.load(Ordering::Relaxed);
         while val < f64::from_bits(cur) {
             match self.0.compare_exchange_weak(
@@ -140,262 +178,181 @@ impl Incumbent {
 
 /// A dynamic work-claim counter: each call to [`ClaimQueue::claim`]
 /// hands out the next index exactly once, across however many worker
-/// threads share the queue. The claim *order* is timing-dependent; the
-/// claimed *set* is not — deterministic users must make every outcome
-/// independent of who claimed it (see the module docs).
+/// threads share the queue. The claim *order* across threads is
+/// timing-dependent; the claimed *set* is not.
 #[derive(Debug, Default)]
-pub struct ClaimQueue(AtomicUsize);
+struct ClaimQueue(AtomicUsize);
 
 impl ClaimQueue {
-    /// A fresh queue starting at index 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Claims the next unclaimed index below `len`, or `None` when all
     /// `len` indices have been handed out.
-    pub fn claim(&self, len: usize) -> Option<usize> {
+    fn claim(&self, len: usize) -> Option<usize> {
         let i = self.0.fetch_add(1, Ordering::Relaxed);
         (i < len).then_some(i)
     }
 }
 
-/// One deterministically-fanned subtree search: the solver-specific
-/// pieces the generic harness of [`fan_subtrees`] is parameterized by.
+/// Runs `work(state, i)` for every `i` in `0..n` on up to `workers`
+/// threads and calls `visit(i, result)` on the calling thread in
+/// ascending `i` (see the module docs).
 ///
-/// Implementations must keep `explore` a **pure function** of
-/// `(state-as-memo, prefix, outer, budget)` — its result may depend on
-/// the per-worker state only as a cache of deterministic values, never
-/// on what other threads are doing. The harness guarantees in return
-/// that `outer` and `budget` are chosen deterministically.
-pub trait SubtreeSearch: Sync {
-    /// One canonical prefix subtree.
-    type Prefix: Sync;
-    /// Per-worker scratch state (memo caches); cloned per worker thread
-    /// after the seed phase, so every worker inherits the seed's memo.
-    type State: Clone + Send;
-    /// The outcome of exploring one subtree.
-    type Outcome: Send;
-
-    /// Explores one subtree against the fixed outer bound `outer` with
-    /// a private node budget `budget`.
-    fn explore(
-        &self,
-        state: &mut Self::State,
-        prefix: &Self::Prefix,
-        outer: f64,
-        budget: u64,
-    ) -> Self::Outcome;
-
-    /// The publishable value of an outcome: `Some(cost)` when the
-    /// subtree produced a real candidate, `None` otherwise.
-    fn value(&self, outcome: &Self::Outcome) -> Option<f64>;
-
-    /// Nodes the outcome consumed (charged against the global budget
-    /// for the seed phase).
-    fn nodes(&self, outcome: &Self::Outcome) -> u64;
-
-    /// Whether a subtree with root lower bound `lb` may be skipped
-    /// against the published incumbent `bound`: strictly above it, or
-    /// above it by [`above_with_slack`] for searches whose bounds can be
-    /// exactly tight.
-    fn skip_above(&self, lb: f64, bound: f64) -> bool;
-
-    /// Folds one worker's final scratch state back into the main state
-    /// after the fan completes (called once per worker, in spawn order,
-    /// on the calling thread — the scope join provides the
-    /// happens-before edge, so no extra synchronization is needed).
-    /// Since states are memo caches of pure functions, merged entries
-    /// are bit-identical to what the main state would have computed;
-    /// merging must not change any other behavior. The default keeps
-    /// worker state private (discarded), which is always sound.
-    fn merge_state(&self, _main: &mut Self::State, _worker: Self::State) {}
-}
-
-/// Runs the deterministic subtree fan-out (see the module docs): seed
-/// phase, budget split, published incumbent, claim queue — returning
-/// one outcome per prefix **in canonical prefix order** for the caller
-/// to reduce with strict improvement; `None` marks a subtree skipped
-/// against the published incumbent.
-///
-/// `bounds[i]` must be the deterministic root lower bound of
-/// `prefixes[i]`; `initial_bound` is the greedy incumbent's value (or
-/// `f64::INFINITY`), used as the seed subtree's outer bound; the seed's
-/// node consumption is charged against `node_limit` before the
-/// remainder is split evenly. With an effective worker count of 1 the
-/// whole fan runs inline on the calling thread and spawns nothing.
-pub fn fan_subtrees<T: SubtreeSearch>(
-    search: &T,
-    prefixes: &[T::Prefix],
-    bounds: &[f64],
-    state: &mut T::State,
-    initial_bound: f64,
-    node_limit: u64,
+/// Each worker thread works on its own clone of `state`; the clones
+/// come back, one per spawned worker in spawn order, for the caller to
+/// fold or drop. With `min(workers, n) <= 1` everything runs inline on
+/// `state` itself, nothing is spawned and no clone comes back.
+pub(crate) fn pool<S, R>(
+    n: usize,
     workers: usize,
-) -> Vec<Option<T::Outcome>> {
-    debug_assert_eq!(prefixes.len(), bounds.len());
-    if prefixes.is_empty() {
+    state: &mut S,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+    mut visit: impl FnMut(usize, R),
+) -> Vec<S>
+where
+    S: Clone + Send,
+    R: Send,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        for i in 0..n {
+            visit(i, work(state, i));
+        }
         return Vec::new();
     }
-
-    // Seed phase: the subtree with the smallest root lower bound
-    // (earliest on ties) is explored first, alone, with the full node
-    // budget — it is the most likely home of the optimum. Its result
-    // tightens the bound every other subtree starts from —
-    // deterministically, since the choice of seed and its search depend
-    // on nothing timing-related. This recovers most of the pruning
-    // power a serial DFS gets from its evolving incumbent.
-    let seed_idx = (0..prefixes.len())
-        .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
-        .unwrap_or(0);
-    let seed_out = search.explore(state, &prefixes[seed_idx], initial_bound, node_limit);
-    let seed_val = search.value(&seed_out).unwrap_or(initial_bound);
-
-    // The seed's consumption is charged against the global node limit;
-    // only the remainder is split over the other subtrees. When the
-    // search is exact the seed finishes cheaply and the others keep a
-    // full share; when the limit is exhausted the others degrade to
-    // zero-budget probes instead of doubling the total node spend. The
-    // split is a pure function of the (deterministic) seed search, so
-    // results stay independent of worker count and thread timing.
-    let node_budget =
-        node_limit.saturating_sub(search.nodes(&seed_out)) / prefixes.len().max(1) as u64;
-
-    // Fan the remaining subtrees over the workers. The published
-    // incumbent only ever *skips* whole subtrees (never steers a
-    // running search): a subtree that could win the deterministic
-    // reduction has a lower bound at most the final minimum and is
-    // therefore never skipped, so the result is independent of thread
-    // timing. Claim subtrees most-promising-first (a fixed permutation)
-    // so the published bound tightens as early as possible.
-    let published = Incumbent::new(seed_val);
-    let queue = ClaimQueue::new();
-    let mut slots: Vec<Mutex<Option<Option<T::Outcome>>>> =
-        (0..prefixes.len()).map(|_| Mutex::new(None)).collect();
-    *slots[seed_idx].get_mut().unwrap_or_else(|p| p.into_inner()) = Some(Some(seed_out));
-    let claim_order: Vec<usize> = {
-        let mut idx: Vec<usize> = (0..prefixes.len()).collect();
-        idx.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-        idx
-    };
-    let run = |state: &mut T::State| {
-        while let Some(c) = queue.claim(claim_order.len()) {
-            let j = claim_order[c];
-            if j == seed_idx {
-                continue; // already explored in the seed phase
+    let (queue, work) = (&ClaimQueue::default(), &work);
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (tx, mut state) = (tx.clone(), state.clone());
+                note_thread_spawn();
+                scope.spawn(move || {
+                    while let Some(i) = queue.claim(n) {
+                        // A closed channel means the visitor panicked;
+                        // stop claiming and let the scope unwind.
+                        if tx.send((i, work(&mut state, i))).is_err() {
+                            break;
+                        }
+                    }
+                    state
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+        let mut next = 0usize;
+        for (i, result) in rx {
+            pending.insert(i, result);
+            while let Some(result) = pending.remove(&next) {
+                visit(next, result);
+                next += 1;
             }
-            let out = (!search.skip_above(bounds[j], published.get()))
-                .then(|| search.explore(state, &prefixes[j], seed_val, node_budget));
-            if let Some(val) = out.as_ref().and_then(|o| search.value(o)) {
+        }
+        handles
+            .into_iter()
+            .map(|h| {
+                // memx-lint: allow(no-panic-paths) — a scoped worker panicking would abort the scope anyway; joining merely forwards it.
+                h.join().expect("pool worker panicked")
+            })
+            .collect()
+    })
+}
+
+/// Runs the seeded skip-fan (see the module docs) over the items with
+/// root lower bounds `bounds`, returning one outcome per item **in
+/// canonical order**; `None` marks an item skipped against the
+/// published incumbent. Also returns the worker states of [`pool`].
+///
+/// `explore(state, i, seed)` explores item `i` and returns its
+/// publishable value (`Some(cost)` of a real candidate, else `None`)
+/// with its outcome; `seed` is `None` when `i` is the seed and the
+/// seed's outcome otherwise. The incumbent starts at the seed's value,
+/// or at `initial` (a real candidate's value, or `f64::INFINITY`) when
+/// the seed has none. `claim_order` lists every index once, in the
+/// order workers claim them (the seed is passed over); an item is
+/// skipped when `skip_above(bounds[i], incumbent)` holds.
+pub(crate) fn seeded_fan<S, O>(
+    bounds: &[f64],
+    claim_order: &[usize],
+    initial: f64,
+    state: &mut S,
+    workers: usize,
+    skip_above: impl Fn(f64, f64) -> bool + Sync,
+    explore: impl Fn(&mut S, usize, Option<&O>) -> (Option<f64>, O) + Sync,
+) -> (Vec<Option<O>>, Vec<S>)
+where
+    S: Clone + Send,
+    O: Send + Sync,
+{
+    debug_assert_eq!(bounds.len(), claim_order.len());
+    let Some(seed) = (0..bounds.len()).min_by(|&a, &b| bounds[a].total_cmp(&bounds[b])) else {
+        return (Vec::new(), Vec::new());
+    };
+    let (seed_val, seed_out) = explore(state, seed, None);
+    let published = Incumbent::new(seed_val.unwrap_or(initial));
+    let rest: Vec<usize> = claim_order.iter().copied().filter(|&i| i != seed).collect();
+    let mut outcomes: Vec<Option<O>> = (0..bounds.len()).map(|_| None).collect();
+    let states = pool(
+        rest.len(),
+        workers,
+        state,
+        |state, c| {
+            let i = rest[c];
+            if skip_above(bounds[i], published.get()) {
+                return None;
+            }
+            let (val, out) = explore(state, i, Some(&seed_out));
+            if let Some(val) = val {
                 published.publish_min(val);
             }
-            // A poisoned slot lock can only come from a sibling worker
-            // panicking mid-store; the slot itself is a plain `Option`,
-            // so recovering the lock is always safe.
-            *slots[j].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-        }
-    };
-
-    let fan_workers = workers.min(prefixes.len());
-    if fan_workers <= 1 {
-        // Straight serial path: the claim loop runs inline on the
-        // calling thread, in canonical claim order, spawning nothing.
-        run(state);
-    } else {
-        // Workers return their final scratch state so memo entries
-        // discovered inside subtrees (block prices, port requirements)
-        // survive the fan — [`SubtreeSearch::merge_state`] folds them
-        // back in spawn order on this thread, after every join.
-        let returned = thread::scope(|scope| {
-            let handles: Vec<_> = (0..fan_workers)
-                .map(|_| {
-                    let mut worker_state = state.clone();
-                    note_thread_spawn();
-                    scope.spawn(move || {
-                        run(&mut worker_state);
-                        worker_state
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // memx-lint: allow(no-panic-paths) — a scoped worker panicking would abort the scope anyway; joining merely forwards it.
-                    h.join().expect("fan worker panicked")
-                })
-                .collect::<Vec<T::State>>()
-        });
-        for worker_state in returned {
-            search.merge_state(state, worker_state);
-        }
-    }
-
-    // Hand the outcomes back in canonical prefix order (the seed in its
-    // slot), for the caller's strict-improvement reduction.
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                // memx-lint: allow(no-panic-paths) — the claim queue hands out every index exactly once, so each slot was filled.
-                .expect("every subtree explored or skipped")
-        })
-        .collect()
+            Some(out)
+        },
+        |c, out| outcomes[rest[c]] = out,
+    );
+    outcomes[seed] = Some(seed_out);
+    (outcomes, states)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    /// A toy search: prefixes are integer "costs", exploring returns the
-    /// cost, bounds equal the costs. Lets the harness logic be checked
-    /// without dragging a solver in.
-    struct Toy;
-
-    #[derive(Debug, PartialEq)]
-    struct ToyOutcome {
-        val: Option<f64>,
-        nodes: u64,
-    }
-
-    impl SubtreeSearch for Toy {
-        type Prefix = f64;
-        type State = u64;
-        type Outcome = ToyOutcome;
-
-        fn explore(&self, state: &mut u64, p: &f64, outer: f64, _budget: u64) -> ToyOutcome {
-            *state += 1;
-            ToyOutcome {
-                val: (*p < outer).then_some(*p),
-                nodes: 1,
-            }
-        }
-        fn value(&self, o: &ToyOutcome) -> Option<f64> {
-            o.val
-        }
-        fn nodes(&self, o: &ToyOutcome) -> u64 {
-            o.nodes
-        }
-        fn skip_above(&self, lb: f64, bound: f64) -> bool {
-            lb > bound
-        }
+    /// A toy search: items are integer "costs", exploring returns the
+    /// cost when it beats the outer bound (the seed's value for every
+    /// non-seed item), and bounds equal the costs. Lets the fan logic
+    /// be checked without dragging a solver in. The state counts
+    /// explorations.
+    fn toy_fan(items: &[f64], initial: f64, workers: usize) -> (Vec<Option<Option<f64>>>, u64) {
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by(|&a, &b| items[a].total_cmp(&items[b]).then(a.cmp(&b)));
+        let mut explored = 0u64;
+        let (outcomes, states) = seeded_fan(
+            items,
+            &order,
+            initial,
+            &mut explored,
+            workers,
+            |lb, bound| lb > bound,
+            |state, i, seed: Option<&Option<f64>>| {
+                *state += 1;
+                let outer = seed.map_or(initial, |s| s.unwrap_or(initial));
+                let val = (items[i] < outer).then_some(items[i]);
+                (val, val)
+            },
+        );
+        (outcomes, explored + states.iter().sum::<u64>())
     }
 
     #[test]
     fn outcomes_come_back_in_canonical_order_for_every_worker_count() {
-        let prefixes = [5.0, 3.0, 9.0, 1.0, 7.0];
-        let reference: Vec<Option<ToyOutcome>> = {
-            let mut state = 0;
-            fan_subtrees(&Toy, &prefixes, &prefixes, &mut state, 8.0, 100, 1)
-        };
+        let items = [5.0, 3.0, 9.0, 1.0, 7.0];
+        let (reference, _) = toy_fan(&items, 8.0, 1);
         for workers in [2, 4, 8] {
-            let mut state = 0;
-            let got = fan_subtrees(&Toy, &prefixes, &prefixes, &mut state, 8.0, 100, workers);
-            // The seed (index 3, smallest bound) always explores; 9.0 is
-            // skipped against the published 1.0... except values above
-            // the incumbent are skipped nondeterministically, so only
-            // compare the *reduction-relevant* view: values.
-            let val = |o: &Option<ToyOutcome>| o.as_ref().and_then(|o| o.val);
+            // Items above the published incumbent may be skipped or
+            // explored depending on timing, so compare the
+            // reduction-relevant view: values.
+            let val = |o: &Option<Option<f64>>| o.flatten();
+            let (got, _) = toy_fan(&items, 8.0, workers);
             let vals: Vec<Option<f64>> = got.iter().map(val).collect();
             let ref_vals: Vec<Option<f64>> = reference.iter().map(val).collect();
             assert_eq!(vals, ref_vals, "workers={workers}");
@@ -404,28 +361,103 @@ mod tests {
 
     #[test]
     fn seed_gets_the_initial_bound_and_others_get_the_seed_value() {
-        // Seed is 1.0 (smallest bound), explored against 8.0 → value 1.0
-        // published; every other subtree explores against 1.0 and none
-        // beats it, or is skipped outright (bound above incumbent).
-        let prefixes = [5.0, 3.0, 1.0];
-        let mut state = 0;
-        let out = fan_subtrees(&Toy, &prefixes, &prefixes, &mut state, 8.0, 100, 1);
-        let val = |o: &Option<ToyOutcome>| o.as_ref().and_then(|o| o.val);
-        assert_eq!(val(&out[2]), Some(1.0));
-        assert_eq!(val(&out[0]), None);
-        assert_eq!(val(&out[1]), None);
+        // The seed is 1.0 (smallest bound), explored against 8.0 → value
+        // 1.0 published; every other item is skipped outright (bound
+        // above the incumbent), so only the seed explores.
+        let (out, explored) = toy_fan(&[5.0, 3.0, 1.0], 8.0, 1);
+        assert_eq!(out, vec![None, None, Some(Some(1.0))]);
+        assert_eq!(explored, 1);
+        // A seed that beats nothing publishes the initial bound instead:
+        // items at or below it still explore, those above it are skipped.
+        let (out, explored) = toy_fan(&[5.0, 3.0, 9.0], 3.0, 1);
+        assert_eq!(out, vec![None, Some(None), None]);
+        assert_eq!(explored, 1);
+        let (out, explored) = toy_fan(&[3.0, 3.0, 9.0], 3.0, 1);
+        assert_eq!(out, vec![Some(None), Some(None), None]);
+        assert_eq!(explored, 2);
     }
 
     #[test]
     fn empty_prefixes_fan_to_nothing() {
-        let mut state = 0;
-        let out = fan_subtrees(&Toy, &[], &[], &mut state, f64::INFINITY, 100, 8);
+        let (out, explored) = toy_fan(&[], f64::INFINITY, 8);
         assert!(out.is_empty());
+        assert_eq!(explored, 0);
+    }
+
+    #[test]
+    fn fan_pool_visits_out_of_order_results_in_index_order() {
+        // Item i cannot finish before item i + 1 has: it waits on a
+        // channel item i + 1 signals after recording its completion. So
+        // the work completes in reverse order; the visitor still sees
+        // ascending indices.
+        let n = 4;
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel::<()>()).unzip();
+        let rxs: Vec<Mutex<mpsc::Receiver<()>>> = rxs.into_iter().map(Mutex::new).collect();
+        let completed = Mutex::new(Vec::new());
+        let mut visited = Vec::new();
+        pool(
+            n,
+            n,
+            &mut (),
+            |_, i| {
+                if i + 1 < n {
+                    rxs[i].lock().unwrap().recv().unwrap();
+                }
+                completed.lock().unwrap().push(i);
+                if i > 0 {
+                    txs[i - 1].send(()).unwrap();
+                }
+                i * 10
+            },
+            |i, r| visited.push((i, r)),
+        );
+        assert_eq!(completed.into_inner().unwrap(), vec![3, 2, 1, 0]);
+        assert_eq!(visited, vec![(0, 0), (1, 10), (2, 20), (3, 30)]);
+    }
+
+    #[test]
+    fn fan_pool_hands_back_each_worker_state_exactly_once() {
+        // Each worker's state records the indices it claimed: one state
+        // per spawned worker comes back, and together they hold every
+        // index exactly once. The caller's state is only cloned.
+        let before = thread_spawns_on_current_thread();
+        let mut state: Vec<usize> = Vec::new();
+        let states = pool(30, 3, &mut state, |s, i| s.push(i), |_, ()| {});
+        assert_eq!(thread_spawns_on_current_thread(), before + 3);
+        assert_eq!(states.len(), 3);
+        assert!(state.is_empty());
+        let mut all: Vec<usize> = states.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_pool_with_one_effective_worker_runs_inline_on_the_caller_state() {
+        for (n, workers) in [(5, 1), (1, 8), (0, 8), (5, 0)] {
+            let before = thread_spawns_on_current_thread();
+            let mut state: Vec<usize> = Vec::new();
+            let mut visited = Vec::new();
+            let states = pool(
+                n,
+                workers,
+                &mut state,
+                |s, i| s.push(i),
+                |i, ()| visited.push(i),
+            );
+            assert_eq!(
+                thread_spawns_on_current_thread(),
+                before,
+                "n={n} workers={workers}"
+            );
+            assert!(states.is_empty());
+            assert_eq!(state, (0..n).collect::<Vec<_>>());
+            assert_eq!(visited, state);
+        }
     }
 
     #[test]
     fn claim_queue_hands_out_each_index_once() {
-        let q = ClaimQueue::new();
+        let q = ClaimQueue::default();
         let mut got: Vec<usize> = std::iter::from_fn(|| q.claim(5)).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
