@@ -538,7 +538,7 @@ pub fn assign_with_stats<'a>(
                 .collect(),
             None => (1..=on_count).collect(),
         };
-        let best = sweep_on_chip(&inst, &mut oracle, &counts, options, workers, &mut stats);
+        let best = sweep_on_chip(&inst, oracle, &counts, options, workers, &mut stats);
         best.ok_or_else(|| ExploreError::NoFeasibleAssignment {
             reason: match options.on_chip_memories {
                 Some(k) => format!("no feasible on-chip assignment with {k} memories"),

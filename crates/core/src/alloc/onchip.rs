@@ -24,6 +24,24 @@
 //!   the true optimal completion cost — so exact results are unchanged;
 //!   it only skips more of the tree (nodes visited are reported in
 //!   [`AllocStats`]).
+//!
+//! # Bin price table
+//!
+//! Every node prices the bin it just grew, so each search worker's memo
+//! ([`BinMemo`]) holds a fixed-size, direct-mapped table from local bin
+//! mask to price next to the port oracle. It has 2^b slots of 16 bytes,
+//! `b` the on-chip group count clamped to 4..=12, indexed by a fixed
+//! multiplicative hash; a colliding entry replaces the old one. A hit
+//! costs a multiply, a shift and a compare, and it returns the bits a
+//! fresh pricing would: a bin's price is a pure function of its local
+//! mask, and [`bits`] replays the members in push order, so every float
+//! fold runs in the same order. Only the cost of a price call changes,
+//! never where it is made, so results and node counts do not move.
+//!
+//! Local masks index the sweep's group order, so the sweep builds the
+//! memo once and drops it at the end. Worker clones start from the warm
+//! table; after a fan only the port cache is folded back, because one
+//! direct-mapped table merged into another would only evict entries.
 
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use memx_ir::{AppSpec, BasicGroupId};
@@ -219,10 +237,84 @@ impl SuffixBound {
     }
 }
 
+/// Largest `log2` of a [`BinMemo`] table: 2^12 slots of 16 bytes, so
+/// one worker's table never exceeds 64 KiB.
+const MEMO_BITS_MAX: u32 = 12;
+/// Smallest `log2` of a [`BinMemo`] table.
+const MEMO_BITS_MIN: u32 = 4;
+/// Key tag of an infeasible bin. Local masks use at most 60 bits, so the
+/// tag never collides with a member bit.
+const INFEASIBLE: u64 = 1 << 63;
+
+/// One [`BinMemo`] slot: a local mask (tagged [`INFEASIBLE`] when the
+/// bin is infeasible, 0 when the slot is empty) and its price's bits.
+#[derive(Clone, Copy, Default)]
+pub(super) struct Slot {
+    key: u64,
+    price: u64,
+}
+
+/// The on-chip search's per-worker memo: the port oracle plus a
+/// fixed-size, direct-mapped table from local bin mask to price.
+///
+/// The table is indexed by a fixed multiplicative hash (Knuth, *TAOCP*
+/// vol. 3, §6.4); a colliding entry replaces the old one. Local masks
+/// mean something only within one sweep's group order, so the sweep
+/// builds the memo once and drops it at the end.
+#[derive(Clone)]
+pub(super) struct BinMemo {
+    oracle: PortOracle,
+    pub(super) slots: Box<[Slot]>,
+    /// `64 − log2(slots.len())`.
+    shift: u32,
+}
+
+impl BinMemo {
+    /// An empty memo over `oracle`, sized from the on-chip group count.
+    pub(super) fn new(oracle: PortOracle, groups: usize) -> BinMemo {
+        let bits =
+            u32::try_from(groups).map_or(MEMO_BITS_MAX, |g| g.clamp(MEMO_BITS_MIN, MEMO_BITS_MAX));
+        BinMemo {
+            oracle,
+            slots: vec![Slot::default(); 1 << bits].into_boxed_slice(),
+            shift: u64::BITS - bits,
+        }
+    }
+
+    /// The table index of `mask`.
+    pub(super) fn slot(&self, mask: u64) -> usize {
+        (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The memoized price of the non-empty local mask `mask`: `None` on
+    /// a miss, `Some(price)` on a hit.
+    pub(super) fn get(&self, mask: u64) -> Option<Option<f64>> {
+        let slot = self.slots[self.slot(mask)];
+        (slot.key & !INFEASIBLE == mask)
+            .then(|| (slot.key & INFEASIBLE == 0).then(|| f64::from_bits(slot.price)))
+    }
+
+    /// Records `price` for the non-empty local mask `mask`.
+    fn put(&mut self, mask: u64, price: Option<f64>) {
+        debug_assert!(mask != 0 && mask & INFEASIBLE == 0, "not a local bin mask");
+        let i = self.slot(mask);
+        self.slots[i] = match price {
+            Some(p) => Slot {
+                key: mask,
+                price: p.to_bits(),
+            },
+            None => Slot {
+                key: mask | INFEASIBLE,
+                price: 0,
+            },
+        };
+    }
+}
+
 /// Everything the on-chip sweep shares across allocation sizes: the
 /// hardest-first group order and the suffix bound tables (both are
 /// independent of `k`).
-struct OnChipSweep<'a> {
+pub(super) struct OnChipSweep<'a> {
     inst: &'a Instance<'a>,
     options: &'a AllocOptions,
     order: Vec<BasicGroupId>,
@@ -230,7 +322,11 @@ struct OnChipSweep<'a> {
 }
 
 impl<'a> OnChipSweep<'a> {
-    fn build(inst: &'a Instance<'a>, options: &'a AllocOptions, oracle: &mut PortOracle) -> Self {
+    pub(super) fn build(
+        inst: &'a Instance<'a>,
+        options: &'a AllocOptions,
+        oracle: &mut PortOracle,
+    ) -> Self {
         let order = hardest_first(&inst.on_groups, &inst.traffic);
         let bound = SuffixBound::build(inst, options, &order, oracle, options.bound);
         OnChipSweep {
@@ -265,6 +361,15 @@ impl<'a> OnChipSweep<'a> {
         (words, width, CostBreakdown::new(area, mw, 0.0))
     }
 
+    /// [`PartitionSolver::price`] without the memo's table.
+    pub(super) fn fresh_price(&self, oracle: &mut PortOracle, mask: u64) -> Option<f64> {
+        let ports = self.ports(oracle, mask);
+        (ports <= self.options.max_on_chip_ports).then(|| {
+            let (_, _, cost) = self.memory_cost(mask, ports);
+            cost.scalar(self.options.area_weight, self.options.power_weight)
+        })
+    }
+
     /// The ready-made instance of a winning bin.
     fn memory(&self, oracle: &mut PortOracle, mask: u64) -> MemoryInstance {
         let ports = self.ports(oracle, mask);
@@ -283,7 +388,7 @@ impl<'a> OnChipSweep<'a> {
 /// The on-chip running sum: bin scalars and their total, folded as
 /// `acc − old + new` and restored from the saved bits on backtrack.
 #[derive(Clone, Default)]
-struct ScalarSum {
+pub(super) struct ScalarSum {
     bins: Vec<u64>,
     scalars: Vec<f64>,
     acc: f64,
@@ -331,22 +436,28 @@ impl RunningSum for ScalarSum {
 }
 
 /// The on-chip solver's hooks into the shared search: per-worker state
-/// is the memoizing port oracle; nodes are cut on `>=` (a leaf only wins
-/// on strict improvement) and subtrees skipped on `>` (a subtree holding
-/// a solution equal to the final minimum is never skipped).
+/// is the [`BinMemo`]; nodes are cut on `>=` (a leaf only wins on strict
+/// improvement) and subtrees skipped on `>` (a subtree holding a
+/// solution equal to the final minimum is never skipped).
 impl PartitionSolver for OnChipSweep<'_> {
-    type Memo = PortOracle;
+    type Memo = BinMemo;
     type Sum = ScalarSum;
     const STOP_AT_LIMIT: bool = false;
 
     /// Scalar cost of one memory, or `None` when its port requirement
-    /// exceeds the module generator's limit.
-    fn price(&self, oracle: &mut PortOracle, mask: u64) -> Option<f64> {
-        let ports = self.ports(oracle, mask);
-        (ports <= self.options.max_on_chip_ports).then(|| {
-            let (_, _, cost) = self.memory_cost(mask, ports);
-            cost.scalar(self.options.area_weight, self.options.power_weight)
-        })
+    /// exceeds the module generator's limit, read from the memo's table
+    /// when the mask is there and priced fresh (then recorded) when not.
+    ///
+    /// A hit is bit-identical to a fresh pricing: the scalar is a pure
+    /// function of the local mask, and [`bits`] replays the members in
+    /// push order, so every float fold runs in the same order.
+    fn price(&self, memo: &mut BinMemo, mask: u64) -> Option<f64> {
+        if let Some(price) = memo.get(mask) {
+            return price;
+        }
+        let price = self.fresh_price(&mut memo.oracle, mask);
+        memo.put(mask, price);
+        price
     }
 
     fn suffix_bound(&self, depth: usize, to_open: usize) -> f64 {
@@ -363,11 +474,13 @@ impl PartitionSolver for OnChipSweep<'_> {
         lb > bound
     }
 
-    fn merge_memo(&self, main: &mut PortOracle, worker: PortOracle) {
+    fn merge_memo(&self, main: &mut BinMemo, worker: BinMemo) {
         // Port requirements are pure functions of the slot table, so
         // worker-memoized entries are bit-identical to the serial
-        // oracle's; merging only warms the memo.
-        main.cache.extend(worker.cache);
+        // oracle's; merging only warms the memo. The price tables are
+        // not merged: each is direct-mapped, so folding one into another
+        // would only trade entries of one for the other's.
+        main.oracle.cache.extend(worker.oracle.cache);
     }
 }
 
@@ -399,16 +512,18 @@ fn on_chip_scalar(mems: &[MemoryInstance], options: &AllocOptions) -> f64 {
 /// full node budget and an equal share of the pool, and skipped when
 /// their root bound strictly exceeds the published cost. The results
 /// reduce in ascending-`k` order with strict improvement — bit-identical
-/// for every worker count. Worker clones of the port oracle are dropped.
+/// for every worker count. The sweep's [`BinMemo`] lives only as long as
+/// the sweep; worker clones of it are dropped.
 pub(super) fn sweep_on_chip(
     inst: &Instance<'_>,
-    oracle: &mut PortOracle,
+    mut oracle: PortOracle,
     counts: &[usize],
     options: &AllocOptions,
     workers: usize,
     stats: &mut AllocStats,
 ) -> Option<(f64, Vec<MemoryInstance>)> {
-    let sweep = OnChipSweep::build(inst, options, oracle);
+    let sweep = OnChipSweep::build(inst, options, &mut oracle);
+    let mut memo = BinMemo::new(oracle, sweep.order.len());
     // Worker budgeting across the two on-chip levels: the sweep claims
     // at most one worker per size and each size's subtree search gets an
     // equal share of the rest, so a batch never oversubscribes the pool
@@ -425,12 +540,12 @@ pub(super) fn sweep_on_chip(
         &bounds,
         &claim_order,
         f64::INFINITY,
-        oracle,
+        &mut memo,
         sweep_workers,
         |lb, bound| lb > bound,
-        |oracle, i, seed: Option<&_>| {
+        |memo, i, seed: Option<&_>| {
             let workers = seed.map_or(workers, |_| inner_workers);
-            let (mems, nodes, updates) = assign_on_chip(&sweep, oracle, counts[i], workers);
+            let (mems, nodes, updates) = assign_on_chip(&sweep, memo, counts[i], workers);
             let best = mems.map(|m| (on_chip_scalar(&m, options), m));
             (best.as_ref().map(|b| b.0), (best, nodes, updates))
         },
@@ -463,7 +578,7 @@ pub(super) fn sweep_on_chip(
 /// the counters are deterministic for `workers <= 1`.
 fn assign_on_chip(
     sweep: &OnChipSweep<'_>,
-    oracle: &mut PortOracle,
+    memo: &mut BinMemo,
     k: usize,
     workers: usize,
 ) -> (Option<Vec<MemoryInstance>>, u64, u64) {
@@ -472,49 +587,9 @@ fn assign_on_chip(
         return (None, 0, 0);
     }
 
-    // Greedy incumbent: the first k groups open their own memories, the
-    // rest join wherever the scalar cost grows least. Seeds the bound so
-    // the node limit degrades to "greedy + partial improvement" instead
-    // of "no answer".
-    let greedy: Option<(f64, Vec<u64>)> = {
-        let mut bins: Vec<u64> = Vec::new();
-        let mut bin_scalars: Vec<f64> = Vec::new();
-        let mut feasible = true;
-        for i in 0..n {
-            let bit = 1u64 << i;
-            if i < k {
-                bins.push(bit);
-                match sweep.price(oracle, bit) {
-                    Some(s) => bin_scalars.push(s),
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
-                continue;
-            }
-            let mut choice: Option<(usize, f64, f64)> = None;
-            for b in 0..bins.len() {
-                if let Some(s) = sweep.price(oracle, bins[b] | bit) {
-                    let delta = s - bin_scalars[b];
-                    if choice.map(|(_, d, _)| delta < d).unwrap_or(true) {
-                        choice = Some((b, delta, s));
-                    }
-                }
-            }
-            match choice {
-                Some((b, _, s)) => {
-                    bins[b] |= bit;
-                    bin_scalars[b] = s;
-                }
-                None => {
-                    feasible = false;
-                    break;
-                }
-            }
-        }
-        (feasible && bins.len() == k).then(|| (bin_scalars.iter().sum(), bins))
-    };
+    // Greedy incumbent: seeds the bound so the node limit degrades to
+    // "greedy + partial improvement" instead of "no answer".
+    let greedy = greedy_bins(sweep, memo, n, k);
     let greedy_val = greedy.as_ref().map(|(v, _)| *v).unwrap_or(f64::INFINITY);
 
     // The shared search ([`super::search`]) with exactly `k` bins. The
@@ -526,19 +601,47 @@ fn assign_on_chip(
         min_bins: k,
         max_bins: k,
     };
-    let found = search.run(
-        oracle,
-        greedy_val,
-        greedy,
-        sweep.options.node_limit,
-        workers,
-    );
+    let found = search.run(memo, greedy_val, greedy, sweep.options.node_limit, workers);
     let mems = found.best.map(|(_, bins)| {
         bins.iter()
-            .map(|&mask| sweep.memory(oracle, mask))
+            .map(|&mask| sweep.memory(&mut memo.oracle, mask))
             .collect()
     });
     (mems, found.nodes, found.updates)
+}
+
+/// The greedy partition of `n` items into exactly `k` bins, with its
+/// cost: the first `k` items open their own bins, the rest join wherever
+/// the price grows least. `None` when some item fits nowhere.
+pub(super) fn greedy_bins<S: PartitionSolver>(
+    solver: &S,
+    memo: &mut S::Memo,
+    n: usize,
+    k: usize,
+) -> Option<(f64, Vec<u64>)> {
+    let mut bins: Vec<u64> = Vec::new();
+    let mut bin_scalars: Vec<f64> = Vec::new();
+    for i in 0..n {
+        let bit = 1u64 << i;
+        if i < k {
+            bins.push(bit);
+            bin_scalars.push(solver.price(memo, bit)?);
+            continue;
+        }
+        let mut choice: Option<(usize, f64, f64)> = None;
+        for b in 0..bins.len() {
+            if let Some(s) = solver.price(memo, bins[b] | bit) {
+                let delta = s - bin_scalars[b];
+                if choice.map(|(_, d, _)| delta < d).unwrap_or(true) {
+                    choice = Some((b, delta, s));
+                }
+            }
+        }
+        let (b, _, s) = choice?;
+        bins[b] |= bit;
+        bin_scalars[b] = s;
+    }
+    (bins.len() == k).then(|| (bin_scalars.iter().sum(), bins))
 }
 
 /// Root lower bounds of the on-chip search for `k` memories, as

@@ -1148,3 +1148,161 @@ fn custom_model_bounds_follow_the_active_library() {
         assert_eq!(solo, pairwise, "k={on_chip_memories:?}");
     }
 }
+
+/// The on-chip solver with every price checked: the memoized price must
+/// carry the same bits as a fresh pricing on an oracle without a price
+/// table. The memo is `(bin memo, table-less oracle, [hits, misses,
+/// infeasible])`; the counters of worker clones are folded back.
+struct Checked<'a, 'b>(&'a onchip::OnChipSweep<'b>);
+
+impl search::PartitionSolver for Checked<'_, '_> {
+    type Memo = (onchip::BinMemo, PortOracle, [u64; 3]);
+    type Sum = onchip::ScalarSum;
+    const STOP_AT_LIMIT: bool = <onchip::OnChipSweep as search::PartitionSolver>::STOP_AT_LIMIT;
+
+    fn price(&self, (memo, fresh, counts): &mut Self::Memo, mask: u64) -> Option<f64> {
+        let hit = memo.get(mask).is_some();
+        let price = self.0.price(memo, mask);
+        let want = self.0.fresh_price(fresh, mask);
+        assert_eq!(
+            price.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "mask {mask:#x} (hit: {hit})"
+        );
+        counts[usize::from(!hit)] += 1;
+        counts[2] += u64::from(price.is_none());
+        price
+    }
+
+    fn suffix_bound(&self, depth: usize, to_open: usize) -> f64 {
+        self.0.suffix_bound(depth, to_open)
+    }
+
+    fn cut(&self, lb: f64, outer: f64, best: Option<f64>) -> bool {
+        self.0.cut(lb, outer, best)
+    }
+
+    fn skip(&self, lb: f64, bound: f64) -> bool {
+        self.0.skip(lb, bound)
+    }
+
+    fn merge_memo(&self, main: &mut Self::Memo, worker: Self::Memo) {
+        self.0.merge_memo(&mut main.0, worker.0);
+        for (m, w) in main.2.iter_mut().zip(worker.2) {
+            *m += w;
+        }
+    }
+}
+
+#[test]
+fn memoized_bin_prices_match_fresh_pricing_bit_for_bit() {
+    use search::Search;
+    let (mut totals, mut specs) = ([0u64; 3], 0);
+    for index in 0..32 {
+        let spec = memx_ir::specgen::generate(0xB1A5, index).unwrap();
+        // Generated budgets can be too tight for multi-cycle accesses.
+        let Ok(s) = scbd::distribute(&spec) else {
+            continue;
+        };
+        let lib = lib();
+        let inst = Instance::new(&spec, &lib).unwrap();
+        let n = inst.on_groups.len();
+        if n == 0 {
+            continue;
+        }
+        specs += 1;
+        // One and two ports make some bins infeasible; four is the
+        // default generator limit.
+        for max_on_chip_ports in [1, 2, 4] {
+            let options = AllocOptions {
+                max_on_chip_ports,
+                ..AllocOptions::default()
+            };
+            let mut oracle = PortOracle::new(&spec, &s);
+            let sweep = onchip::OnChipSweep::build(&inst, &options, &mut oracle);
+            let checked = Checked(&sweep);
+            for (node_limit, workers) in [(40u64, 1usize), (5_000, 1), (5_000, 2)] {
+                let mut memo = (
+                    onchip::BinMemo::new(oracle.clone(), n),
+                    oracle.clone(),
+                    [0; 3],
+                );
+                for k in 1..=n {
+                    let greedy = onchip::greedy_bins(&checked, &mut memo, n, k);
+                    let outer = greedy.as_ref().map_or(f64::INFINITY, |g| g.0);
+                    let search = Search {
+                        solver: &checked,
+                        n,
+                        min_bins: k,
+                        max_bins: k,
+                    };
+                    search.run(&mut memo, outer, greedy, node_limit, workers);
+                }
+                for (t, c) in totals.iter_mut().zip(memo.2) {
+                    *t += c;
+                }
+            }
+        }
+    }
+    let [hits, misses, infeasible] = totals;
+    assert!(specs >= 16, "only {specs} specs reached the on-chip search");
+    assert!(hits > misses, "hits {hits}, misses {misses}");
+    assert!(infeasible > 0, "no infeasible bin was priced");
+}
+
+#[test]
+fn colliding_masks_never_return_each_others_price() {
+    use search::PartitionSolver;
+    let spec = many_group_spec();
+    let s = scbd::distribute(&spec).unwrap();
+    let lib = lib();
+    // Two ports leave some of the overlapping reads' bins infeasible.
+    let options = AllocOptions {
+        max_on_chip_ports: 2,
+        ..AllocOptions::default()
+    };
+    let inst = Instance::new(&spec, &lib).unwrap();
+    let mut oracle = PortOracle::new(&spec, &s);
+    let sweep = onchip::OnChipSweep::build(&inst, &options, &mut oracle);
+    // A minimum-size table over eight groups: 255 masks share 16 slots.
+    let mut memo = onchip::BinMemo::new(oracle.clone(), 1);
+    assert_eq!(memo.slots.len(), 16);
+    let masks = 1u64..1 << inst.on_groups.len();
+    let fresh = |mask| sweep.fresh_price(&mut oracle.clone(), mask);
+    let collides = |a: u64, b: u64| a != b && memo.slot(a) == memo.slot(b);
+    // A feasible mask with two partners in its slot: one infeasible, one
+    // with a different price.
+    let (feasible, infeasible) = masks
+        .clone()
+        .filter(|&a| fresh(a).is_some())
+        .find_map(|a| {
+            let b = masks
+                .clone()
+                .find(|&b| collides(a, b) && fresh(b).is_none())?;
+            Some((a, b))
+        })
+        .unwrap();
+    let priced = masks
+        .clone()
+        .find(|&m| collides(m, feasible) && fresh(m).is_some_and(|p| p != fresh(feasible).unwrap()))
+        .unwrap();
+    for other in [priced, infeasible] {
+        for (mask, evicted) in [(feasible, other), (other, feasible), (feasible, other)] {
+            let want = fresh(mask).map(f64::to_bits);
+            assert_eq!(sweep.price(&mut memo, mask).map(f64::to_bits), want);
+            assert_eq!(memo.get(mask).map(|p| p.map(f64::to_bits)), Some(want));
+            assert_eq!(memo.get(evicted), None, "{evicted:#x} still cached");
+        }
+    }
+}
+
+#[test]
+fn bin_memo_tables_are_sized_from_the_group_count_and_capped() {
+    let spec = many_group_spec();
+    let oracle = PortOracle::new(&spec, &scbd::distribute(&spec).unwrap());
+    let slots = |groups| onchip::BinMemo::new(oracle.clone(), groups).slots.len();
+    assert_eq!(slots(4), 1 << 4);
+    assert_eq!(slots(8), 1 << 8);
+    assert_eq!(slots(60), 1 << 12);
+    assert_eq!(std::mem::size_of::<onchip::Slot>(), 16);
+}
