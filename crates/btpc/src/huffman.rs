@@ -90,11 +90,6 @@ impl AdaptiveHuffman {
         coder
     }
 
-    /// Number of symbols in the alphabet.
-    pub fn symbol_count(&self) -> usize {
-        self.symbols
-    }
-
     /// Encodes `symbol` into `out` and adapts.
     ///
     /// # Panics

@@ -208,17 +208,6 @@ fn add_scaled(
     Ok(last.expect("at least one access added"))
 }
 
-/// Convenience: profile at 128×128 and build the paper's production spec
-/// (1024×1024 frame, 20 M-cycle storage budget).
-///
-/// # Errors
-///
-/// Propagates [`btpc_app_spec`] errors.
-pub fn paper_spec() -> Result<BtpcSpec, BuildSpecError> {
-    let profile = measure_profile(128, 128, 0xB7C0DE);
-    btpc_app_spec(&profile, 1024, 1024, 20_000_000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

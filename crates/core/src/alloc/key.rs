@@ -7,7 +7,7 @@ use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId};
 use memx_memlib::MemLibrary;
 
-use super::{AllocOptions, Instance, PortOracle};
+use super::{AllocOptions, Instance};
 use crate::cache;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
@@ -30,7 +30,7 @@ fn hash_group(h: &mut StableHasher, inst: &Instance<'_>, g: BasicGroupId) {
 /// the schedule's port-conflict slot table and the real-time window.
 /// Two specs (or the same spec at two cycle budgets) that induce the
 /// same instance deliberately share one cache entry.
-pub(super) fn alloc_instance_fingerprint(inst: &Instance<'_>, oracle: &PortOracle) -> u64 {
+pub(super) fn alloc_instance_fingerprint(inst: &Instance<'_>) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("alloc-instance");
     h.write_f64(inst.time_s);
@@ -41,7 +41,7 @@ pub(super) fn alloc_instance_fingerprint(inst: &Instance<'_>, oracle: &PortOracl
             hash_group(&mut h, inst, g);
         }
     }
-    oracle.hash_slots(&mut h);
+    inst.oracle.hash_slots(&mut h);
     h.finish()
 }
 
@@ -49,7 +49,7 @@ pub(super) fn alloc_instance_fingerprint(inst: &Instance<'_>, oracle: &PortOracl
 /// [`alloc_instance_fingerprint`] restricted to the off-chip groups, so
 /// the priced block catalog survives option changes (different node
 /// limits, bounds, weights) that re-key the allocation entry itself.
-pub(super) fn off_chip_blocks_fingerprint(inst: &Instance<'_>, oracle: &PortOracle) -> u64 {
+pub(super) fn off_chip_blocks_fingerprint(inst: &Instance<'_>) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("off-chip-blocks-instance");
     h.write_f64(inst.time_s);
@@ -57,7 +57,7 @@ pub(super) fn off_chip_blocks_fingerprint(inst: &Instance<'_>, oracle: &PortOrac
     for &g in &inst.off_groups {
         hash_group(&mut h, inst, g);
     }
-    oracle.hash_slots(&mut h);
+    inst.oracle.hash_slots(&mut h);
     h.finish()
 }
 
@@ -76,10 +76,9 @@ pub fn alloc_cache_key(
     lib: &MemLibrary,
     options: &AllocOptions,
 ) -> Result<cache::CacheKey, ExploreError> {
-    let oracle = PortOracle::new(spec, scbd);
-    let inst = Instance::new(spec, lib)?;
+    let inst = Instance::new(spec, scbd, lib)?;
     Ok(cache::CacheKey::alloc(
-        alloc_instance_fingerprint(&inst, &oracle),
+        alloc_instance_fingerprint(&inst),
         lib,
         options,
     ))

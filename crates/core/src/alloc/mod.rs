@@ -89,7 +89,6 @@
 
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId, Placement};
@@ -357,13 +356,19 @@ struct Instance<'a> {
     time_s: f64,
     off_groups: Vec<BasicGroupId>,
     on_groups: Vec<BasicGroupId>,
+    /// The port requirements the schedule's conflict slots force.
+    oracle: PortOracle,
 }
 
 impl<'a> Instance<'a> {
     /// # Errors
     ///
     /// As [`split_accessed_groups`].
-    fn new(spec: &'a AppSpec, lib: &'a MemLibrary) -> Result<Self, ExploreError> {
+    fn new(
+        spec: &'a AppSpec,
+        scbd: &ScbdResult,
+        lib: &'a MemLibrary,
+    ) -> Result<Self, ExploreError> {
         let traffic = group_traffic(spec);
         let (off_groups, on_groups) = split_accessed_groups(spec, &traffic)?;
         Ok(Instance {
@@ -373,22 +378,21 @@ impl<'a> Instance<'a> {
             time_s: spec.real_time_seconds(),
             off_groups,
             on_groups,
+            oracle: PortOracle::new(spec, scbd),
         })
     }
 }
 
-/// Per-slot access-count table for fast port-requirement queries over
-/// group subsets (bitmask-indexed, memoized).
+/// Per-slot access-count table for port-requirement queries over group
+/// subsets (bitmask-indexed).
 ///
-/// Cloning is cheap: the slot table is shared behind an [`Arc`] and each
-/// clone keeps its own memoization cache, so every branch-and-bound
-/// worker thread can query ports without synchronization.
-#[derive(Clone)]
+/// The oracle is an immutable function of the spec and the schedule, so
+/// every branch-and-bound worker queries it through the shared
+/// [`Instance`]; each solver memoizes the prices built on top of it.
 struct PortOracle {
     /// Each entry: (group index, simultaneous accesses) per busy cycle.
-    slots: Arc<Vec<Vec<(usize, u32)>>>,
-    min_ports: Arc<Vec<u32>>,
-    cache: BTreeMap<u64, u32>,
+    slots: Vec<Vec<(usize, u32)>>,
+    min_ports: Vec<u32>,
 }
 
 impl PortOracle {
@@ -413,21 +417,17 @@ impl PortOracle {
         slots.sort();
         slots.dedup();
         PortOracle {
-            slots: Arc::new(slots),
-            min_ports: Arc::new(spec.basic_groups().iter().map(|g| g.min_ports()).collect()),
-            cache: BTreeMap::new(),
+            slots,
+            min_ports: spec.basic_groups().iter().map(|g| g.min_ports()).collect(),
         }
     }
 
     /// Ports required by a memory storing exactly the groups in `mask`.
-    fn required(&mut self, mask: u64) -> u32 {
-        if let Some(&p) = self.cache.get(&mask) {
-            return p;
-        }
+    fn required(&self, mask: u64) -> u32 {
         let mut ports = 1u32;
         // Visit only the set bits — this is the innermost pricing
         // primitive and masks are sparse, so scanning all 64 positions
-        // per uncached mask was measurable. `get` keeps the historical
+        // per mask was measurable. `get` keeps the historical
         // behavior of ignoring bits beyond the group table.
         let mut m = mask;
         while m != 0 {
@@ -437,7 +437,7 @@ impl PortOracle {
             }
             m &= m - 1;
         }
-        for slot in self.slots.iter() {
+        for slot in &self.slots {
             let overlap: u32 = slot
                 .iter()
                 .filter(|(g, _)| mask & (1 << *g) != 0)
@@ -445,7 +445,6 @@ impl PortOracle {
                 .sum();
             ports = ports.max(overlap);
         }
-        self.cache.insert(mask, ports);
         ports
     }
 
@@ -455,7 +454,7 @@ impl PortOracle {
     /// groups ever enter a mask.
     fn hash_slots(&self, h: &mut StableHasher) {
         h.write_u64(self.slots.len() as u64);
-        for slot in self.slots.iter() {
+        for slot in &self.slots {
             h.write_u64(slot.len() as u64);
             for &(g, c) in slot {
                 h.write_u64(g as u64);
@@ -475,7 +474,7 @@ impl PortOracle {
 /// whole branch-and-bound, replaying the stored [`Organization`] *and*
 /// [`AllocStats`] bit-identically (so node-count telemetry reports what
 /// the stored solve actually cost, not a free lunch). On a miss the
-/// solver runs as usual — pre-seeding its off-chip block pricer from a
+/// solver runs as usual — pre-seeding its off-chip price memo from a
 /// cached catalog when one exists — and the solution is stored for the
 /// next process. Errors are never cached. Pass `&lib` for an uncached
 /// run.
@@ -498,12 +497,11 @@ pub fn assign_with_stats<'a>(
 ) -> Result<(Organization, AllocStats), ExploreError> {
     let EvalCtx { lib, cache } = ctx.into();
     check_cost_weights(options.area_weight, options.power_weight)?;
-    let mut oracle = PortOracle::new(spec, scbd);
     let mut stats = AllocStats::default();
-    let inst = Instance::new(spec, lib)?;
+    let inst = Instance::new(spec, scbd, lib)?;
 
-    let alloc_key = cache
-        .map(|_| cache::CacheKey::alloc(alloc_instance_fingerprint(&inst, &oracle), lib, options));
+    let alloc_key =
+        cache.map(|_| cache::CacheKey::alloc(alloc_instance_fingerprint(&inst), lib, options));
     if let (Some(cache), Some(key)) = (cache, alloc_key.as_ref()) {
         if let Some((org, stats)) = cache.load_alloc(key) {
             cache.note_alloc_hit();
@@ -517,7 +515,7 @@ pub fn assign_with_stats<'a>(
     };
 
     // --- Off-chip side: branch-and-bound over set partitions. -----------
-    let off_memories = assign_off_chip(&inst, &mut oracle, options, workers, &mut stats, cache)?;
+    let off_memories = assign_off_chip(&inst, options, workers, &mut stats, cache)?;
 
     // --- On-chip side: branch-and-bound per allocation size. ------------
     let on_count = inst.on_groups.len();
@@ -538,7 +536,7 @@ pub fn assign_with_stats<'a>(
                 .collect(),
             None => (1..=on_count).collect(),
         };
-        let best = sweep_on_chip(&inst, oracle, &counts, options, workers, &mut stats);
+        let best = sweep_on_chip(&inst, &counts, options, workers, &mut stats);
         best.ok_or_else(|| ExploreError::NoFeasibleAssignment {
             reason: match options.on_chip_memories {
                 Some(k) => format!("no feasible on-chip assignment with {k} memories"),

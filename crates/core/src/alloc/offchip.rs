@@ -95,14 +95,16 @@ use memx_memlib::{CostBreakdown, MemLibrary};
 
 use super::key::off_chip_blocks_fingerprint;
 use super::search::{bits, PartitionSolver, RunningSum, Search};
-use super::{
-    bell_number, AllocOptions, AllocStats, Instance, MemoryInstance, MemoryKind, PortOracle,
-    Traffic,
-};
+use super::{bell_number, AllocOptions, AllocStats, Instance, MemoryInstance, MemoryKind, Traffic};
 use crate::cache::{self, EvalCache};
 use crate::fan::above_with_slack;
 use crate::scbd::ScbdResult;
 use crate::ExploreError;
+
+/// The off-chip search's per-worker memo: every block price computed so
+/// far, by local subset mask (`None` for an infeasible block). It is
+/// complete, so it doubles as the persisted block catalog.
+type BlockPrices = BTreeMap<u64, Option<f64>>;
 
 /// Shared read-only context of one off-chip partition search.
 struct OffChipCtx<'a> {
@@ -144,16 +146,16 @@ impl OffChipCtx<'_> {
     }
 
     /// Builds the ready-made instance of a feasible winning block.
-    fn build_memory(&self, pricer: &mut OffChipPricer<'_>, mask: u64) -> MemoryInstance {
+    fn build_memory(&self, mask: u64) -> MemoryInstance {
         let members: Vec<BasicGroupId> = bits(mask).map(|i| self.inst.off_groups[i]).collect();
-        let ports = pricer.oracle.required(self.global_mask(mask));
+        let ports = self.inst.oracle.required(self.global_mask(mask));
         let (words, width, rate_energy) = self.block_dims(mask);
         let sel = self
             .inst
             .lib
             .off_chip()
             .select(words, width, ports, rate_energy)
-            // memx-lint: allow(no-panic-paths) — only blocks the pricer already priced `Some` reach here, so selection cannot fail.
+            // memx-lint: allow(no-panic-paths) — only blocks already priced `Some` reach here, so selection cannot fail.
             .expect("winning blocks are feasible");
         let mw = sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9;
         MemoryInstance {
@@ -165,6 +167,49 @@ impl OffChipCtx<'_> {
             kind: MemoryKind::OffChip(sel),
         }
     }
+
+    /// Fresh block-order power sum of a committed partial partition —
+    /// the exact float accumulation the exhaustive scan performed per
+    /// complete partition, so tie-breaks stay bit-identical.
+    fn committed(&self, prices: &mut BlockPrices, blocks: &[u64]) -> f64 {
+        let mut sum = 0.0;
+        for &m in blocks {
+            let price = self.price(prices, m);
+            // memx-lint: allow(no-panic-paths) — every committed block was price-gated `Some` before being committed.
+            sum += price.expect("committed blocks are feasible");
+        }
+        sum
+    }
+
+    /// Deterministic greedy off-chip partition, seeding the search
+    /// bound: each group joins the feasible block whose power delta is
+    /// smallest (earliest block on ties), or opens its own block when
+    /// that is strictly cheaper. Returns `None` when some singleton is
+    /// infeasible — port requirements are monotone, so no partition is
+    /// feasible at all in that case.
+    fn greedy(&self, prices: &mut BlockPrices) -> Option<f64> {
+        let mut blocks: Vec<u64> = Vec::new();
+        for i in 0..self.inst.off_groups.len() {
+            let bit = 1u64 << i;
+            let open_delta = self.price(prices, bit)?;
+            let mut choice: Option<(usize, f64)> = None;
+            for (b, &mask) in blocks.iter().enumerate() {
+                if let Some(grown) = self.price(prices, mask | bit) {
+                    let current = self.price(prices, mask);
+                    // memx-lint: allow(no-panic-paths) — blocks enter the greedy partition only after pricing `Some`.
+                    let delta = grown - current.expect("existing blocks are feasible");
+                    if choice.map(|(_, d)| delta < d).unwrap_or(true) {
+                        choice = Some((b, delta));
+                    }
+                }
+            }
+            match choice {
+                Some((b, delta)) if delta <= open_delta => blocks[b] |= bit,
+                _ => blocks.push(bit),
+            }
+        }
+        Some(self.committed(prices, &blocks))
+    }
 }
 
 /// Computes `sym_prev` for the dominance rule: `sym_prev[i]` holds when
@@ -175,14 +220,14 @@ impl OffChipCtx<'_> {
 /// Adjacency in local index is what makes the swap argument in the
 /// module docs airtight: no other member can sort between the twins in
 /// a block's dimension fold.
-fn off_chip_symmetry(inst: &Instance<'_>, oracle: &PortOracle, enabled: bool) -> Vec<bool> {
+fn off_chip_symmetry(inst: &Instance<'_>, enabled: bool) -> Vec<bool> {
     let (groups, traffic) = (&inst.off_groups, &inst.traffic);
     let n = groups.len();
     if !enabled || n == 0 {
         return vec![false; n];
     }
     let in_conflict_slot = |g: BasicGroupId| {
-        oracle
+        inst.oracle
             .slots
             .iter()
             .any(|slot| slot.iter().any(|&(idx, _)| idx == g.index()))
@@ -204,55 +249,6 @@ fn off_chip_symmetry(inst: &Instance<'_>, oracle: &PortOracle, enabled: bool) ->
             && !in_conflict_slot(groups[i - 1]);
     }
     sym
-}
-
-/// Per-worker lazy block pricer: each worker owns a clone of the port
-/// oracle plus its own price memo, so pricing needs no synchronization.
-#[derive(Clone)]
-struct OffChipPricer<'a> {
-    ctx: &'a OffChipCtx<'a>,
-    oracle: PortOracle,
-    cache: BTreeMap<u64, Option<f64>>,
-}
-
-impl OffChipPricer<'_> {
-    /// Power (mW) of the cheapest off-chip configuration holding exactly
-    /// the groups in `mask`, or `None` when the subset's overlap needs
-    /// more than the two ports DRAM systems offer. Infallible otherwise:
-    /// the catalog is checked non-empty up front and ports are pre-gated,
-    /// the only ways selection can fail.
-    fn price(&mut self, mask: u64) -> Option<f64> {
-        if let Some(&p) = self.cache.get(&mask) {
-            return p;
-        }
-        let ports = self.oracle.required(self.ctx.global_mask(mask));
-        let mw = (ports <= 2).then(|| {
-            let (words, width, rate_energy) = self.ctx.block_dims(mask);
-            let sel = self
-                .ctx
-                .inst
-                .lib
-                .off_chip()
-                .select(words, width, ports, rate_energy)
-                // memx-lint: allow(no-panic-paths) — the catalog is checked non-empty up front and ports are pre-gated to <= 2, the only selection failure modes.
-                .expect("catalog non-empty and ports pre-gated");
-            sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9
-        });
-        self.cache.insert(mask, mw);
-        mw
-    }
-
-    /// Fresh block-order power sum of a committed partial partition —
-    /// the exact float accumulation the exhaustive scan performed per
-    /// complete partition, so tie-breaks stay bit-identical.
-    fn committed(&mut self, blocks: &[u64]) -> f64 {
-        let mut sum = 0.0;
-        for &m in blocks {
-            // memx-lint: allow(no-panic-paths) — every committed block was price-gated `Some` before being committed.
-            sum += self.price(m).expect("committed blocks are feasible");
-        }
-        sum
-    }
 }
 
 /// Admissible per-group power floor of the off-chip suffix bound: the
@@ -282,7 +278,7 @@ fn off_chip_group_floor(inst: &Instance<'_>, g: BasicGroupId) -> f64 {
 /// partition, with the float fold order pinned to block index.
 ///
 /// `prefix[j]` is the left-to-right sum `0.0 + prices[0] + … +
-/// prices[j]` — exactly the accumulation [`OffChipPricer::committed`]
+/// prices[j]` — exactly the accumulation [`OffChipCtx::committed`]
 /// performs — so [`BlockSum::total`] is bit-identical to a fresh
 /// block-order summation at every node, and a delta touching block `b`
 /// only refolds `prefix[b..]`. Restoring a block's previous price and
@@ -320,7 +316,7 @@ impl RunningSum for BlockSum {
         &self.blocks
     }
 
-    /// The committed sum: bitwise what `pricer.committed(&self.blocks)`
+    /// The committed sum: bitwise what `ctx.committed(prices, &self.blocks)`
     /// would return.
     fn total(&self) -> f64 {
         let total = self.prefix.last().copied().unwrap_or(0.0);
@@ -360,16 +356,37 @@ impl RunningSum for BlockSum {
 }
 
 /// The off-chip solver's hooks into the shared search: per-worker state
-/// is the memoizing block pricer, and every comparison against a real
+/// is the [`BlockPrices`] memo, and every comparison against a real
 /// candidate is ulp-guarded, because the suffix floor can be exactly
 /// tight in real arithmetic.
-impl<'a> PartitionSolver for OffChipCtx<'a> {
-    type Memo = OffChipPricer<'a>;
+impl PartitionSolver for OffChipCtx<'_> {
+    type Memo = BlockPrices;
     type Sum = BlockSum;
     const STOP_AT_LIMIT: bool = true;
 
-    fn price(&self, pricer: &mut OffChipPricer<'a>, mask: u64) -> Option<f64> {
-        pricer.price(mask)
+    /// Power (mW) of the cheapest off-chip configuration holding exactly
+    /// the groups in `mask`, or `None` when the subset's overlap needs
+    /// more than the two ports DRAM systems offer. Infallible otherwise:
+    /// the catalog is checked non-empty up front and ports are pre-gated,
+    /// the only ways selection can fail.
+    fn price(&self, prices: &mut BlockPrices, mask: u64) -> Option<f64> {
+        if let Some(&p) = prices.get(&mask) {
+            return p;
+        }
+        let ports = self.inst.oracle.required(self.global_mask(mask));
+        let mw = (ports <= 2).then(|| {
+            let (words, width, rate_energy) = self.block_dims(mask);
+            let sel = self
+                .inst
+                .lib
+                .off_chip()
+                .select(words, width, ports, rate_energy)
+                // memx-lint: allow(no-panic-paths) — the catalog is checked non-empty up front and ports are pre-gated to <= 2, the only selection failure modes.
+                .expect("catalog non-empty and ports pre-gated");
+            sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9
+        });
+        prices.insert(mask, mw);
+        mw
     }
 
     fn suffix_bound(&self, depth: usize, _to_open: usize) -> f64 {
@@ -399,43 +416,13 @@ impl<'a> PartitionSolver for OffChipCtx<'a> {
         }
     }
 
-    fn merge_memo(&self, main: &mut OffChipPricer<'a>, worker: OffChipPricer<'a>) {
-        // Prices and port requirements are pure functions of the
-        // instance, so worker-discovered entries are bit-identical to
-        // what the serial pricer would compute — merging them back only
-        // completes the memo (and hence the persisted block catalog).
-        main.cache.extend(worker.cache);
-        main.oracle.cache.extend(worker.oracle.cache);
+    fn merge_memo(&self, main: &mut BlockPrices, worker: BlockPrices) {
+        // Prices are pure functions of the instance, so worker-discovered
+        // entries are bit-identical to what the serial search would
+        // compute — merging them back only completes the memo (and hence
+        // the persisted block catalog).
+        main.extend(worker);
     }
-}
-
-/// Deterministic greedy off-chip partition, seeding the search bound:
-/// each group joins the feasible block whose power delta is smallest
-/// (earliest block on ties), or opens its own block when that is
-/// strictly cheaper. Returns `None` when some singleton is infeasible —
-/// port requirements are monotone, so no partition is feasible at all
-/// in that case.
-fn off_chip_greedy(ctx: &OffChipCtx<'_>, pricer: &mut OffChipPricer<'_>) -> Option<f64> {
-    let mut blocks: Vec<u64> = Vec::new();
-    for i in 0..ctx.inst.off_groups.len() {
-        let bit = 1u64 << i;
-        let open_delta = pricer.price(bit)?;
-        let mut choice: Option<(usize, f64)> = None;
-        for (b, &mask) in blocks.iter().enumerate() {
-            if let Some(grown) = pricer.price(mask | bit) {
-                // memx-lint: allow(no-panic-paths) — blocks enter the greedy partition only after pricing `Some`.
-                let delta = grown - pricer.price(mask).expect("existing blocks are feasible");
-                if choice.map(|(_, d)| delta < d).unwrap_or(true) {
-                    choice = Some((b, delta));
-                }
-            }
-        }
-        match choice {
-            Some((b, delta)) if delta <= open_delta => blocks[b] |= bit,
-            _ => blocks.push(bit),
-        }
-    }
-    Some(pricer.committed(&blocks))
 }
 
 /// Builds the cheapest off-chip memory set by branch-and-bound over set
@@ -447,7 +434,6 @@ fn off_chip_greedy(ctx: &OffChipCtx<'_>, pricer: &mut OffChipPricer<'_>) -> Opti
 /// worker count.
 pub(super) fn assign_off_chip(
     inst: &Instance<'_>,
-    oracle: &mut PortOracle,
     options: &AllocOptions,
     workers: usize,
     stats: &mut AllocStats,
@@ -486,35 +472,31 @@ pub(super) fn assign_off_chip(
     let ctx = OffChipCtx {
         inst,
         floor_suffix,
-        sym_prev: off_chip_symmetry(inst, oracle, options.off_chip_dominance),
+        sym_prev: off_chip_symmetry(inst, options.off_chip_dominance),
     };
-    let mut pricer = OffChipPricer {
-        ctx: &ctx,
-        oracle: oracle.clone(),
-        cache: BTreeMap::new(),
-    };
+    let mut prices = BlockPrices::new();
 
-    // Pre-seed the block pricer from a cached catalog when one exists.
+    // Pre-seed the price memo from a cached catalog when one exists.
     // Prices are pure functions of (groups, slots, library), so a seeded
     // memo changes nothing about the search — the same values would be
-    // recomputed lazily — and worker pricers clone the serial pricer
-    // *after* seeding, so every subtree benefits. Any subset superset
+    // recomputed lazily — and worker memos clone the serial memo *after*
+    // seeding, so every subtree benefits. Any subset superset
     // of what this run will query is fine; extra masks are ignored.
-    let blocks_key = cache
-        .map(|_| cache::CacheKey::off_chip_blocks(off_chip_blocks_fingerprint(inst, oracle), lib));
+    let blocks_key =
+        cache.map(|_| cache::CacheKey::off_chip_blocks(off_chip_blocks_fingerprint(inst), lib));
     let mut blocks_from_cache = false;
     if let (Some(cache), Some(key)) = (cache, blocks_key.as_ref()) {
         if let Some(entries) = cache.load_off_chip_blocks(key) {
             cache.note_blocks_hit();
             blocks_from_cache = true;
-            pricer.cache.extend(entries);
+            prices.extend(entries);
         }
     }
 
     // Greedy incumbent: only ever a pruning bound, never a result — the
     // reduction starts empty, so the canonical-first optimum the
     // exhaustive scan returned is reproduced bit for bit.
-    let Some(greedy_mw) = off_chip_greedy(&ctx, &mut pricer) else {
+    let Some(greedy_mw) = ctx.greedy(&mut prices) else {
         return Err(ExploreError::NoFeasibleAssignment {
             reason: "off-chip groups overlap beyond dual-port bandwidth".to_owned(),
         });
@@ -530,7 +512,7 @@ pub(super) fn assign_off_chip(
         min_bins: 0,
         max_bins: n,
     };
-    let found = search.run(&mut pricer, greedy_mw, None, options.node_limit, workers);
+    let found = search.run(&mut prices, greedy_mw, None, options.node_limit, workers);
     stats.off_chip_bb_nodes += found.nodes;
     stats.off_chip_partitions += found.partitions;
     stats.off_chip_pruned_subtrees += found.pruned;
@@ -549,24 +531,20 @@ pub(super) fn assign_off_chip(
             reason: "off-chip groups overlap beyond dual-port bandwidth".to_owned(),
         });
     };
-    // Persist the pricer's memo for the next process — including the
-    // masks worker pricer clones discovered inside their subtrees,
+    // Persist the price memo for the next process — including the
+    // masks worker memo clones discovered inside their subtrees,
     // which the search's memo merge folded back after the fan (so
     // a warm run re-seeds the *full* catalog, not just the serial
     // pre-seed). Only on a miss: on a hit the entry already exists.
     if let (Some(cache), Some(key)) = (cache, blocks_key.as_ref()) {
         if !blocks_from_cache {
-            let mut entries: Vec<(u64, Option<f64>)> =
-                pricer.cache.iter().map(|(&m, &p)| (m, p)).collect();
-            entries.sort_unstable_by_key(|e| e.0);
+            // A `BTreeMap` yields its masks ascending, the stored order.
+            let entries: Vec<(u64, Option<f64>)> = prices.into_iter().collect();
             cache.note_blocks_miss();
             cache.store_off_chip_blocks(key, &entries);
         }
     }
-    Ok(blocks
-        .iter()
-        .map(|&mask| ctx.build_memory(&mut pricer, mask))
-        .collect())
+    Ok(blocks.iter().map(|&mask| ctx.build_memory(mask)).collect())
 }
 
 /// The retired exhaustive streaming set-partition scan, kept as the
@@ -591,8 +569,7 @@ pub fn off_chip_exhaustive_reference(
     scbd: &ScbdResult,
     lib: &MemLibrary,
 ) -> Result<(Vec<MemoryInstance>, u64), ExploreError> {
-    let oracle = PortOracle::new(spec, scbd);
-    let inst = Instance::new(spec, lib)?;
+    let inst = Instance::new(spec, scbd, lib)?;
     let groups = &inst.off_groups;
     if groups.is_empty() {
         return Ok((Vec::new(), 0));
@@ -614,13 +591,9 @@ pub fn off_chip_exhaustive_reference(
         // genuinely unpruned canonical-first optimum.
         sym_prev: vec![false; groups.len()],
     };
-    let mut pricer = OffChipPricer {
-        ctx: &ctx,
-        oracle,
-        cache: BTreeMap::new(),
-    };
     struct Scan<'a, 'b> {
-        pricer: &'a mut OffChipPricer<'b>,
+        ctx: &'a OffChipCtx<'b>,
+        prices: BlockPrices,
         n: usize,
         best: Option<(f64, Vec<u64>)>,
         partitions: u64,
@@ -629,7 +602,7 @@ pub fn off_chip_exhaustive_reference(
         fn recurse(&mut self, i: usize, blocks: &mut Vec<u64>) {
             if i == self.n {
                 self.partitions += 1;
-                let power = self.pricer.committed(blocks);
+                let power = self.ctx.committed(&mut self.prices, blocks);
                 if self.best.as_ref().map(|(p, _)| power < *p).unwrap_or(true) {
                     self.best = Some((power, blocks.clone()));
                 }
@@ -638,14 +611,14 @@ pub fn off_chip_exhaustive_reference(
             let bit = 1u64 << i;
             for b in 0..blocks.len() {
                 let grown = blocks[b] | bit;
-                if self.pricer.price(grown).is_some() {
+                if self.ctx.price(&mut self.prices, grown).is_some() {
                     let old = blocks[b];
                     blocks[b] = grown;
                     self.recurse(i + 1, blocks);
                     blocks[b] = old;
                 }
             }
-            if self.pricer.price(bit).is_some() {
+            if self.ctx.price(&mut self.prices, bit).is_some() {
                 blocks.push(bit);
                 self.recurse(i + 1, blocks);
                 blocks.pop();
@@ -653,7 +626,8 @@ pub fn off_chip_exhaustive_reference(
         }
     }
     let mut scan = Scan {
-        pricer: &mut pricer,
+        ctx: &ctx,
+        prices: BlockPrices::new(),
         n: groups.len(),
         best: None,
         partitions: 0,
@@ -665,9 +639,6 @@ pub fn off_chip_exhaustive_reference(
         .ok_or_else(|| ExploreError::NoFeasibleAssignment {
             reason: "off-chip groups overlap beyond dual-port bandwidth".to_owned(),
         })?;
-    let mems = blocks
-        .iter()
-        .map(|&mask| ctx.build_memory(&mut pricer, mask))
-        .collect();
+    let mems = blocks.iter().map(|&mask| ctx.build_memory(mask)).collect();
     Ok((mems, partitions))
 }

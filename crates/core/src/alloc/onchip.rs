@@ -28,20 +28,20 @@
 //! # Bin price table
 //!
 //! Every node prices the bin it just grew, so each search worker's memo
-//! ([`BinMemo`]) holds a fixed-size, direct-mapped table from local bin
-//! mask to price next to the port oracle. It has 2^b slots of 16 bytes,
-//! `b` the on-chip group count clamped to 4..=12, indexed by a fixed
-//! multiplicative hash; a colliding entry replaces the old one. A hit
-//! costs a multiply, a shift and a compare, and it returns the bits a
-//! fresh pricing would: a bin's price is a pure function of its local
-//! mask, and [`bits`] replays the members in push order, so every float
-//! fold runs in the same order. Only the cost of a price call changes,
-//! never where it is made, so results and node counts do not move.
+//! ([`BinMemo`]) is a fixed-size, direct-mapped table from local bin
+//! mask to price. It has 2^b slots of 16 bytes, `b` the on-chip group
+//! count clamped to 4..=12, indexed by a fixed multiplicative hash; a
+//! colliding entry replaces the old one. A hit costs a multiply, a
+//! shift and a compare, and it returns the bits a fresh pricing would:
+//! a bin's price is a pure function of its local mask, and [`bits`]
+//! replays the members in push order, so every float fold runs in the
+//! same order. Only the cost of a price call changes, never where it is
+//! made, so results and node counts do not move.
 //!
 //! Local masks index the sweep's group order, so the sweep builds the
 //! memo once and drops it at the end. Worker clones start from the warm
-//! table; after a fan only the port cache is folded back, because one
-//! direct-mapped table merged into another would only evict entries.
+//! table and are dropped after a fan: one direct-mapped table merged
+//! into another would only evict entries.
 
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use memx_ir::{AppSpec, BasicGroupId};
@@ -50,7 +50,7 @@ use memx_memlib::{CostBreakdown, MemLibrary, OnChipSpec};
 use super::search::{bits, PartitionSolver, RunningSum, Search};
 use super::{
     check_cost_weights, AllocOptions, AllocStats, BoundKind, Instance, MemoryInstance, MemoryKind,
-    PortOracle, Traffic,
+    Traffic,
 };
 use crate::fan::seeded_fan;
 use crate::scbd::ScbdResult;
@@ -127,7 +127,6 @@ impl SuffixBound {
         inst: &Instance<'_>,
         options: &AllocOptions,
         order: &[BasicGroupId],
-        oracle: &mut PortOracle,
         kind: BoundKind,
     ) -> SuffixBound {
         let (n, spec) = (order.len(), inst.spec);
@@ -173,8 +172,9 @@ impl SuffixBound {
                                 let other = spec.group(h);
                                 let words = grp.words() + other.words();
                                 let width = grp.bitwidth().max(other.bitwidth());
-                                let ports =
-                                    oracle.required((1u64 << g.index()) | (1u64 << h.index()));
+                                let ports = inst
+                                    .oracle
+                                    .required((1u64 << g.index()) | (1u64 << h.index()));
                                 (floor(g, words, width, ports) - tight[i]).max(0.0)
                             })
                             .min_by(f64::total_cmp)
@@ -254,8 +254,8 @@ pub(super) struct Slot {
     price: u64,
 }
 
-/// The on-chip search's per-worker memo: the port oracle plus a
-/// fixed-size, direct-mapped table from local bin mask to price.
+/// The on-chip search's per-worker memo: a fixed-size, direct-mapped
+/// table from local bin mask to price.
 ///
 /// The table is indexed by a fixed multiplicative hash (Knuth, *TAOCP*
 /// vol. 3, §6.4); a colliding entry replaces the old one. Local masks
@@ -263,19 +263,17 @@ pub(super) struct Slot {
 /// builds the memo once and drops it at the end.
 #[derive(Clone)]
 pub(super) struct BinMemo {
-    oracle: PortOracle,
     pub(super) slots: Box<[Slot]>,
     /// `64 − log2(slots.len())`.
     shift: u32,
 }
 
 impl BinMemo {
-    /// An empty memo over `oracle`, sized from the on-chip group count.
-    pub(super) fn new(oracle: PortOracle, groups: usize) -> BinMemo {
+    /// An empty memo, sized from the on-chip group count.
+    pub(super) fn new(groups: usize) -> BinMemo {
         let bits =
             u32::try_from(groups).map_or(MEMO_BITS_MAX, |g| g.clamp(MEMO_BITS_MIN, MEMO_BITS_MAX));
         BinMemo {
-            oracle,
             slots: vec![Slot::default(); 1 << bits].into_boxed_slice(),
             shift: u64::BITS - bits,
         }
@@ -322,13 +320,9 @@ pub(super) struct OnChipSweep<'a> {
 }
 
 impl<'a> OnChipSweep<'a> {
-    pub(super) fn build(
-        inst: &'a Instance<'a>,
-        options: &'a AllocOptions,
-        oracle: &mut PortOracle,
-    ) -> Self {
+    pub(super) fn build(inst: &'a Instance<'a>, options: &'a AllocOptions) -> Self {
         let order = hardest_first(&inst.on_groups, &inst.traffic);
-        let bound = SuffixBound::build(inst, options, &order, oracle, options.bound);
+        let bound = SuffixBound::build(inst, options, &order, options.bound);
         OnChipSweep {
             inst,
             options,
@@ -338,8 +332,10 @@ impl<'a> OnChipSweep<'a> {
     }
 
     /// Ports a memory holding the groups of the local mask `mask` needs.
-    fn ports(&self, oracle: &mut PortOracle, mask: u64) -> u32 {
-        oracle.required(bits(mask).map(|i| 1u64 << self.order[i].index()).sum())
+    fn ports(&self, mask: u64) -> u32 {
+        self.inst
+            .oracle
+            .required(bits(mask).map(|i| 1u64 << self.order[i].index()).sum())
     }
 
     /// Words, width and cost of one `ports`-port memory holding the
@@ -362,8 +358,8 @@ impl<'a> OnChipSweep<'a> {
     }
 
     /// [`PartitionSolver::price`] without the memo's table.
-    pub(super) fn fresh_price(&self, oracle: &mut PortOracle, mask: u64) -> Option<f64> {
-        let ports = self.ports(oracle, mask);
+    pub(super) fn fresh_price(&self, mask: u64) -> Option<f64> {
+        let ports = self.ports(mask);
         (ports <= self.options.max_on_chip_ports).then(|| {
             let (_, _, cost) = self.memory_cost(mask, ports);
             cost.scalar(self.options.area_weight, self.options.power_weight)
@@ -371,8 +367,8 @@ impl<'a> OnChipSweep<'a> {
     }
 
     /// The ready-made instance of a winning bin.
-    fn memory(&self, oracle: &mut PortOracle, mask: u64) -> MemoryInstance {
-        let ports = self.ports(oracle, mask);
+    fn memory(&self, mask: u64) -> MemoryInstance {
+        let ports = self.ports(mask);
         let (words, width, cost) = self.memory_cost(mask, ports);
         MemoryInstance {
             groups: bits(mask).map(|i| self.order[i]).collect(),
@@ -436,7 +432,8 @@ impl RunningSum for ScalarSum {
 }
 
 /// The on-chip solver's hooks into the shared search: per-worker state
-/// is the [`BinMemo`]; nodes are cut on `>=` (a leaf only wins on strict
+/// is the [`BinMemo`], never merged back after a fan (see the module
+/// docs); nodes are cut on `>=` (a leaf only wins on strict
 /// improvement) and subtrees skipped on `>` (a subtree holding a
 /// solution equal to the final minimum is never skipped).
 impl PartitionSolver for OnChipSweep<'_> {
@@ -455,7 +452,7 @@ impl PartitionSolver for OnChipSweep<'_> {
         if let Some(price) = memo.get(mask) {
             return price;
         }
-        let price = self.fresh_price(&mut memo.oracle, mask);
+        let price = self.fresh_price(mask);
         memo.put(mask, price);
         price
     }
@@ -472,15 +469,6 @@ impl PartitionSolver for OnChipSweep<'_> {
 
     fn skip(&self, lb: f64, bound: f64) -> bool {
         lb > bound
-    }
-
-    fn merge_memo(&self, main: &mut BinMemo, worker: BinMemo) {
-        // Port requirements are pure functions of the slot table, so
-        // worker-memoized entries are bit-identical to the serial
-        // oracle's; merging only warms the memo. The price tables are
-        // not merged: each is direct-mapped, so folding one into another
-        // would only trade entries of one for the other's.
-        main.oracle.cache.extend(worker.oracle.cache);
     }
 }
 
@@ -516,14 +504,13 @@ fn on_chip_scalar(mems: &[MemoryInstance], options: &AllocOptions) -> f64 {
 /// the sweep; worker clones of it are dropped.
 pub(super) fn sweep_on_chip(
     inst: &Instance<'_>,
-    mut oracle: PortOracle,
     counts: &[usize],
     options: &AllocOptions,
     workers: usize,
     stats: &mut AllocStats,
 ) -> Option<(f64, Vec<MemoryInstance>)> {
-    let sweep = OnChipSweep::build(inst, options, &mut oracle);
-    let mut memo = BinMemo::new(oracle, sweep.order.len());
+    let sweep = OnChipSweep::build(inst, options);
+    let mut memo = BinMemo::new(sweep.order.len());
     // Worker budgeting across the two on-chip levels: the sweep claims
     // at most one worker per size and each size's subtree search gets an
     // equal share of the rest, so a batch never oversubscribes the pool
@@ -602,11 +589,9 @@ fn assign_on_chip(
         max_bins: k,
     };
     let found = search.run(memo, greedy_val, greedy, sweep.options.node_limit, workers);
-    let mems = found.best.map(|(_, bins)| {
-        bins.iter()
-            .map(|&mask| sweep.memory(&mut memo.oracle, mask))
-            .collect()
-    });
+    let mems = found
+        .best
+        .map(|(_, bins)| bins.iter().map(|&mask| sweep.memory(mask)).collect());
     (mems, found.nodes, found.updates)
 }
 
@@ -664,16 +649,13 @@ pub fn root_lower_bounds(
     k: u32,
 ) -> Result<Option<(f64, f64)>, ExploreError> {
     check_cost_weights(options.area_weight, options.power_weight)?;
-    let mut oracle = PortOracle::new(spec, scbd);
-    let inst = Instance::new(spec, lib)?;
+    let inst = Instance::new(spec, scbd, lib)?;
     if inst.on_groups.is_empty() || k == 0 || k as usize > inst.on_groups.len() {
         return Ok(None);
     }
     let order = hardest_first(&inst.on_groups, &inst.traffic);
-    let build =
-        |kind, oracle: &mut PortOracle| SuffixBound::build(&inst, options, &order, oracle, kind);
-    let solo = build(BoundKind::Solo, &mut oracle);
-    let pairwise = build(BoundKind::Pairwise, &mut oracle);
+    let build = |kind| SuffixBound::build(&inst, options, &order, kind);
+    let (solo, pairwise) = (build(BoundKind::Solo), build(BoundKind::Pairwise));
     let k = k as usize;
     Ok(Some((solo.bound(0, 0, k), pairwise.bound(0, 0, k))))
 }

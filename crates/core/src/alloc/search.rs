@@ -63,7 +63,8 @@ pub(super) trait RunningSum: Clone + Default + Send + Sync {
 
 /// What one solver plugs into [`Search`].
 pub(super) trait PartitionSolver: Sync {
-    /// Per-worker pricing memo; cloned per worker thread.
+    /// Per-worker price memo: each worker thread prices into its own
+    /// clone, since prices are pure functions of the instance.
     type Memo: Clone + Send;
     /// The running-sum type.
     type Sum: RunningSum;
@@ -89,8 +90,10 @@ pub(super) trait PartitionSolver: Sync {
     fn dominance_start(&self, _depth: usize, _prev_choice: usize) -> usize {
         0
     }
-    /// Folds a worker's memo back into the main one after the fan.
-    fn merge_memo(&self, main: &mut Self::Memo, worker: Self::Memo);
+    /// Folds a worker's memo back into the main one after the fan. By
+    /// default it is dropped: only a memo that is persisted needs the
+    /// workers' entries.
+    fn merge_memo(&self, _main: &mut Self::Memo, _worker: Self::Memo) {}
 }
 
 /// A partial canonical partition of the first `depth` items.
@@ -189,7 +192,7 @@ impl<S: PartitionSolver> Search<'_, S> {
     /// of doubling the total node spend. Subtrees are claimed
     /// most-promising-first (ascending root bound, ties by index), so the
     /// published incumbent tightens as early as possible. Worker memos
-    /// are folded back after the fan.
+    /// go to [`PartitionSolver::merge_memo`] after the fan.
     pub fn run(
         &self,
         memo: &mut S::Memo,

@@ -1023,7 +1023,7 @@ fn nonpositive_real_time_window_is_rejected_before_the_search() {
 
 #[test]
 fn worker_priced_masks_are_persisted_in_the_block_catalog() {
-    // A parallel run prices many masks inside *worker* pricer
+    // A parallel run prices many masks inside *worker* memo
     // clones; the off-chip `merge_memo` hook must fold those memos back
     // before `store_off_chip_blocks`, so a cold parallel run
     // persists the same full catalog as a cold serial run (and a
@@ -1038,8 +1038,8 @@ fn worker_priced_masks_are_persisted_in_the_block_catalog() {
     };
     let blocks_key = || {
         let lib = lib();
-        let inst = Instance::new(&spec, &lib).unwrap();
-        let instance = off_chip_blocks_fingerprint(&inst, &PortOracle::new(&spec, &s));
+        let inst = Instance::new(&spec, &s, &lib).unwrap();
+        let instance = off_chip_blocks_fingerprint(&inst);
         cache::CacheKey::off_chip_blocks(instance, &lib)
     };
     let tmp =
@@ -1150,20 +1150,20 @@ fn custom_model_bounds_follow_the_active_library() {
 }
 
 /// The on-chip solver with every price checked: the memoized price must
-/// carry the same bits as a fresh pricing on an oracle without a price
-/// table. The memo is `(bin memo, table-less oracle, [hits, misses,
-/// infeasible])`; the counters of worker clones are folded back.
+/// carry the same bits as a fresh pricing. The memo is `(bin memo,
+/// [hits, misses, infeasible])`; the counters of worker clones are
+/// folded back.
 struct Checked<'a, 'b>(&'a onchip::OnChipSweep<'b>);
 
 impl search::PartitionSolver for Checked<'_, '_> {
-    type Memo = (onchip::BinMemo, PortOracle, [u64; 3]);
+    type Memo = (onchip::BinMemo, [u64; 3]);
     type Sum = onchip::ScalarSum;
     const STOP_AT_LIMIT: bool = <onchip::OnChipSweep as search::PartitionSolver>::STOP_AT_LIMIT;
 
-    fn price(&self, (memo, fresh, counts): &mut Self::Memo, mask: u64) -> Option<f64> {
+    fn price(&self, (memo, counts): &mut Self::Memo, mask: u64) -> Option<f64> {
         let hit = memo.get(mask).is_some();
         let price = self.0.price(memo, mask);
-        let want = self.0.fresh_price(fresh, mask);
+        let want = self.0.fresh_price(mask);
         assert_eq!(
             price.map(f64::to_bits),
             want.map(f64::to_bits),
@@ -1187,8 +1187,7 @@ impl search::PartitionSolver for Checked<'_, '_> {
     }
 
     fn merge_memo(&self, main: &mut Self::Memo, worker: Self::Memo) {
-        self.0.merge_memo(&mut main.0, worker.0);
-        for (m, w) in main.2.iter_mut().zip(worker.2) {
+        for (m, w) in main.1.iter_mut().zip(worker.1) {
             *m += w;
         }
     }
@@ -1205,7 +1204,7 @@ fn memoized_bin_prices_match_fresh_pricing_bit_for_bit() {
             continue;
         };
         let lib = lib();
-        let inst = Instance::new(&spec, &lib).unwrap();
+        let inst = Instance::new(&spec, &s, &lib).unwrap();
         let n = inst.on_groups.len();
         if n == 0 {
             continue;
@@ -1218,15 +1217,10 @@ fn memoized_bin_prices_match_fresh_pricing_bit_for_bit() {
                 max_on_chip_ports,
                 ..AllocOptions::default()
             };
-            let mut oracle = PortOracle::new(&spec, &s);
-            let sweep = onchip::OnChipSweep::build(&inst, &options, &mut oracle);
+            let sweep = onchip::OnChipSweep::build(&inst, &options);
             let checked = Checked(&sweep);
             for (node_limit, workers) in [(40u64, 1usize), (5_000, 1), (5_000, 2)] {
-                let mut memo = (
-                    onchip::BinMemo::new(oracle.clone(), n),
-                    oracle.clone(),
-                    [0; 3],
-                );
+                let mut memo = (onchip::BinMemo::new(n), [0; 3]);
                 for k in 1..=n {
                     let greedy = onchip::greedy_bins(&checked, &mut memo, n, k);
                     let outer = greedy.as_ref().map_or(f64::INFINITY, |g| g.0);
@@ -1238,7 +1232,7 @@ fn memoized_bin_prices_match_fresh_pricing_bit_for_bit() {
                     };
                     search.run(&mut memo, outer, greedy, node_limit, workers);
                 }
-                for (t, c) in totals.iter_mut().zip(memo.2) {
+                for (t, c) in totals.iter_mut().zip(memo.1) {
                     *t += c;
                 }
             }
@@ -1261,14 +1255,13 @@ fn colliding_masks_never_return_each_others_price() {
         max_on_chip_ports: 2,
         ..AllocOptions::default()
     };
-    let inst = Instance::new(&spec, &lib).unwrap();
-    let mut oracle = PortOracle::new(&spec, &s);
-    let sweep = onchip::OnChipSweep::build(&inst, &options, &mut oracle);
+    let inst = Instance::new(&spec, &s, &lib).unwrap();
+    let sweep = onchip::OnChipSweep::build(&inst, &options);
     // A minimum-size table over eight groups: 255 masks share 16 slots.
-    let mut memo = onchip::BinMemo::new(oracle.clone(), 1);
+    let mut memo = onchip::BinMemo::new(1);
     assert_eq!(memo.slots.len(), 16);
     let masks = 1u64..1 << inst.on_groups.len();
-    let fresh = |mask| sweep.fresh_price(&mut oracle.clone(), mask);
+    let fresh = |mask| sweep.fresh_price(mask);
     let collides = |a: u64, b: u64| a != b && memo.slot(a) == memo.slot(b);
     // A feasible mask with two partners in its slot: one infeasible, one
     // with a different price.
@@ -1298,9 +1291,7 @@ fn colliding_masks_never_return_each_others_price() {
 
 #[test]
 fn bin_memo_tables_are_sized_from_the_group_count_and_capped() {
-    let spec = many_group_spec();
-    let oracle = PortOracle::new(&spec, &scbd::distribute(&spec).unwrap());
-    let slots = |groups| onchip::BinMemo::new(oracle.clone(), groups).slots.len();
+    let slots = |groups| onchip::BinMemo::new(groups).slots.len();
     assert_eq!(slots(4), 1 << 4);
     assert_eq!(slots(8), 1 << 8);
     assert_eq!(slots(60), 1 << 12);

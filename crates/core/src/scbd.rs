@@ -267,23 +267,6 @@ impl ScbdResult {
         max as u32
     }
 
-    /// Number of cycle slots (weighted by body iterations) in which two
-    /// or more *on-chip* accesses overlap. Zero means the on-chip
-    /// organization is bandwidth-unconstrained; the first budget at
-    /// which this turns positive is the Table 3 crossover where the
-    /// on-chip cost starts to rise.
-    pub fn on_chip_overlap_weight(&self) -> f64 {
-        let mut weight = 0.0;
-        for body in &self.bodies {
-            for slot in body.busy_slots() {
-                if slot.occupants.iter().filter(|o| !o.off_chip).count() >= 2 {
-                    weight += body.iterations as f64;
-                }
-            }
-        }
-        weight
-    }
-
     /// `true` if accesses to `a` and `b` ever overlap (the groups then
     /// cannot share a single-port memory).
     pub fn conflicts(&self, a: BasicGroupId, b: BasicGroupId) -> bool {
@@ -317,23 +300,6 @@ pub fn schedule_body(
     budget: u64,
 ) -> Result<BodySchedule, ExploreError> {
     BodyPlan::new(spec, nest).body_schedule(budget, true)
-}
-
-/// Naive baseline scheduler: packs every access as-soon-as-possible
-/// without balancing. Exposed for the ablation study of the balancing
-/// design choice — ASAP packing maximizes overlap and therefore port
-/// and separate-memory requirements.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::BudgetTooTight`] if the body's critical path
-/// exceeds `budget`.
-pub fn schedule_body_asap(
-    spec: &AppSpec,
-    nest: &LoopNest,
-    budget: u64,
-) -> Result<BodySchedule, ExploreError> {
-    BodyPlan::new(spec, nest).body_schedule(budget, false)
 }
 
 /// The budget-independent facts about one body's flow graph, derived

@@ -11,6 +11,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::http::{self, HttpError};
+
 /// What a request came back as.
 #[derive(Debug)]
 pub struct Response {
@@ -147,6 +149,9 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, ClientError>
             reader
                 .read_exact(&mut crlf)
                 .map_err(|_| ClientError::Protocol("truncated chunk terminator"))?;
+            if &crlf != b"\r\n" {
+                return Err(ClientError::Protocol("chunk terminator"));
+            }
             rows.push(payload);
         }
     } else {
@@ -190,19 +195,48 @@ fn read_fields(reader: &mut impl BufRead) -> Result<Vec<(String, String)>, Clien
     }
 }
 
+/// Reads one line with the server's reader, so responses get the same
+/// [`http::MAX_LINE_BYTES`] cap as requests.
 fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ClientError> {
-    let mut raw = Vec::new();
-    let n = reader.read_until(b'\n', &mut raw)?;
-    if n == 0 {
-        return Ok(None);
+    http::read_line(reader).map_err(|e| match e {
+        HttpError::Io(e) => ClientError::Io(e),
+        HttpError::Malformed(what) => ClientError::Protocol(what),
+        HttpError::UnexpectedEof | HttpError::BodyTooLarge { .. } => {
+            ClientError::Protocol("truncated line")
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(raw: &str) -> Result<Response, ClientError> {
+        read_response(&mut raw.as_bytes())
     }
-    if raw.last() == Some(&b'\n') {
-        raw.pop();
+
+    #[test]
+    fn read_response_enforces_chunk_and_line_framing() {
+        let head = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n";
+        let ok = parse(&format!(
+            "{head}3\r\nabc\r\n2\r\nde\r\n0\r\nx-memx-rows: 2\r\n\r\n"
+        ))
+        .unwrap();
+        assert_eq!(ok.status, 200);
+        assert_eq!(ok.rows, [b"abc".to_vec(), b"de".to_vec()]);
+        assert_eq!(ok.trailers, [("x-memx-rows".into(), "2".into())]);
+
+        let err = parse(&format!("{head}3\r\nabcXY0\r\n\r\n")).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Protocol("chunk terminator")),
+            "{err}"
+        );
+
+        let long = "a".repeat(http::MAX_LINE_BYTES);
+        let err = parse(&format!("HTTP/1.1 200 OK\r\nx-pad: {long}\r\n\r\n")).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Protocol("header line too long")),
+            "{err}"
+        );
     }
-    if raw.last() == Some(&b'\r') {
-        raw.pop();
-    }
-    String::from_utf8(raw)
-        .map(Some)
-        .map_err(|_| ClientError::Protocol("non-UTF-8 line"))
 }

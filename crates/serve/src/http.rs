@@ -17,8 +17,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 
-/// Hard cap on the request line + one header line, bytes.
-const MAX_LINE_BYTES: usize = 8 * 1024;
+/// Hard cap on one start line, header line or chunk-size line, bytes
+/// (requests here, responses in [`crate::client`]).
+pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Hard cap on the number of request headers.
 const MAX_HEADERS: usize = 64;
 
@@ -99,8 +100,9 @@ impl HttpError {
     }
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, size-capped.
-fn read_line(stream: &mut impl BufRead) -> Result<Option<String>, HttpError> {
+/// Reads one CRLF- (or bare-LF-) terminated line, size-capped at
+/// [`MAX_LINE_BYTES`].
+pub(crate) fn read_line(stream: &mut impl BufRead) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];

@@ -3,8 +3,8 @@
 //! solver change can never silently drift the paper's results. A second
 //! golden, `effort.txt`, pins the search effort behind those tables:
 //! every [`AllocStats`] counter of every report, serially, for the full
-//! and the smoke context, plus the cache revisions a count change must
-//! bump.
+//! and the smoke context, the cache revisions a count change must bump,
+//! and the persistent cache's counters over a cold and a warm pass.
 //!
 //! The snapshots are rendered from deterministic pipelines —
 //! environment-independent, the tables bit-identical for every worker
@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use memx_bench::experiments::{
     self, paper_allocations, paper_extras, table1, table2, table3, table4, PaperContext, RunKnobs,
@@ -28,7 +29,7 @@ use memx_bench::experiments::{
 use memx_core::alloc::{
     assign_with_stats, AllocOptions, AllocStats, BoundKind, MemoryKind, Organization,
 };
-use memx_core::cache::{ALLOC_ALGO_REVISION, SCBD_ALGO_REVISION};
+use memx_core::cache::{EvalCache, ALLOC_ALGO_REVISION, SCBD_ALGO_REVISION};
 use memx_core::explore::CostReport;
 use memx_ir::AppSpec;
 use memx_memlib::CostBreakdown;
@@ -227,7 +228,8 @@ fn render_table_effort(out: &mut String, ctx: &PaperContext) {
 
 /// Renders the effort snapshot: the paper tables in the full and the
 /// smoke context, Table 4 under the solo bound, the tie plateau with
-/// and without dominance, and the cache revisions a count change bumps.
+/// and without dominance, the cache revisions a count change bumps, and
+/// the per-kind cache counters of a cold and a warm smoke Table 4.
 fn render_effort() -> String {
     let mut out = String::new();
     out.push_str("# full context\n");
@@ -269,6 +271,25 @@ fn render_effort() -> String {
     let _ = writeln!(out, "# cache revisions");
     let _ = writeln!(out, "SCBD_ALGO_REVISION = {SCBD_ALGO_REVISION}");
     let _ = writeln!(out, "ALLOC_ALGO_REVISION = {ALLOC_ALGO_REVISION}");
+
+    // Smoke Table 4 twice against one fresh cache: the cold pass fills
+    // it (its later rows already share the off-chip block catalog), the
+    // warm pass replays every entry. The counters accumulate over both.
+    out.push_str("# cache counts\nTable 4\n");
+    let dir = std::env::temp_dir().join(format!("memx-effort-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(EvalCache::open(&dir).expect("temp cache dir opens"));
+    let cached = serial(experiments::context(RunKnobs {
+        smoke: true,
+        workers: 1,
+        cache: Some(Arc::clone(&cache)),
+        ..Default::default()
+    }));
+    for pass in ["cold", "warm"] {
+        table4(&cached, &paper_allocations()).expect("table 4 runs");
+        let _ = writeln!(out, "  {pass}: {:?}", cache.stats());
+    }
+    std::fs::remove_dir_all(&dir).expect("temp cache dir removable");
     out
 }
 
