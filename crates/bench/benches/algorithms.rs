@@ -40,6 +40,21 @@ fn bench_scbd(c: &mut Criterion) {
             );
         }
     }
+    // The crossover probe's sweep: its 33 budgets (20 M cycles minus
+    // 0 %, 1 %, ..., 32 %) through one plan, in probe order.
+    let spec = experiments::best_hierarchy_spec(&smoke).expect("transforms valid");
+    let step = experiments::CYCLE_BUDGET / 100;
+    let budgets: Vec<u64> = (0..33)
+        .map(|pct| experiments::CYCLE_BUDGET - step * pct)
+        .collect();
+    group.bench_function("smoke/probe", |b| {
+        b.iter(|| {
+            let mut plan = scbd::Plan::new(std::hint::black_box(&spec));
+            for &budget in &budgets {
+                std::hint::black_box(plan.distribute(budget).expect("budget feasible"));
+            }
+        })
+    });
     group.finish();
 }
 

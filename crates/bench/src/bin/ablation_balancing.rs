@@ -11,7 +11,7 @@
 use memx_bench::experiments;
 use memx_core::alloc::assign_with_stats;
 use memx_core::scbd;
-use memx_core::scbd::BodySchedule;
+use memx_core::scbd::{BodySchedule, Plan};
 
 fn main() {
     let ctx = experiments::context(experiments::RunKnobs::from_env());
@@ -27,7 +27,7 @@ fn main() {
             // The balanced path is exactly what the cache stores; the
             // ASAP baseline is a different algorithm and stays uncached.
             "balanced (paper)",
-            eval_ctx.distribute(&spec, budget),
+            eval_ctx.distribute(&mut Plan::new(&spec), budget),
         ),
         ("ASAP packed", scbd::distribute_asap(&spec, budget)),
     ] {

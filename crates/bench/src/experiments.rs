@@ -24,10 +24,10 @@ use std::sync::Arc;
 use memx_btpc::spec::{btpc_app_spec, measure_profile, BtpcSpec};
 use memx_core::alloc::{AllocOptions, AllocStats};
 use memx_core::cache::{EvalCache, EvalCtx};
-use memx_core::engine::{auto_workers, parallel_map, DesignPoint, Engine};
+use memx_core::engine::{DesignPoint, Engine};
 use memx_core::explore::{CostReport, EvaluateOptions, Exploration};
 use memx_core::hierarchy::{apply_hierarchy, HierarchyLayer};
-use memx_core::scbd::ScbdResult;
+use memx_core::scbd::{Plan, ScbdResult};
 use memx_core::structuring::{compact, merge};
 use memx_core::ExploreError;
 use memx_ir::{AccessKind, AppSpec, AppSpecBuilder, BasicGroupId, Placement};
@@ -476,12 +476,11 @@ pub fn paper_extras() -> Vec<u64> {
 /// Table 3 15.7 % row.
 ///
 /// The probe budgets (1 % steps of [`CYCLE_BUDGET`], up to 39 %) are
-/// distributed through `ctx` (so through its cache when one is
-/// attached), in ascending chunks of `workers` budgets (`0` = one per
-/// core), each chunk fanned over the worker pool. The scan stops at the
-/// first forced-multiport budget in budget order, so the answer does not
-/// depend on `workers`; with one worker the chunks hold one budget each
-/// and no thread is spawned.
+/// distributed in ascending order of reclaimed cycles through `ctx` (so
+/// through its cache when one is attached) and one shared
+/// [`Plan`], which schedules each body budget once over the whole scan.
+/// The scan stops at the first forced-multiport budget. It runs on the
+/// calling thread.
 ///
 /// # Errors
 ///
@@ -491,34 +490,23 @@ pub fn paper_extras() -> Vec<u64> {
 pub fn on_chip_crossover_extra_cached<'a>(
     spec: &AppSpec,
     ctx: impl Into<EvalCtx<'a>>,
-    workers: usize,
 ) -> Result<u64, ExploreError> {
     let ctx = ctx.into();
     let step = CYCLE_BUDGET / 100;
-    let extras: Vec<u64> = (0..CYCLE_BUDGET * 2 / 5).step_by(step as usize).collect();
-    let chunk = match workers {
-        0 => auto_workers(),
-        w => w,
-    };
     let forced_multiport = |result: &ScbdResult| {
         spec.basic_groups().iter().any(|g| {
             g.placement() != Placement::OffChip
                 && result.required_ports(|x| x == g.id()) > g.min_ports()
         })
     };
+    let mut plan = Plan::new(spec);
     let mut last_free = 0;
-    for probes in extras.chunks(chunk) {
-        let outcomes = parallel_map(probes, chunk, |_, &extra| {
-            ctx.distribute(spec, CYCLE_BUDGET - extra)
-                .map(|result| forced_multiport(&result))
-        });
-        for (&extra, outcome) in probes.iter().zip(outcomes) {
-            match outcome {
-                Ok(true) => return Ok(extra),
-                Ok(false) => last_free = extra,
-                Err(ExploreError::BudgetTooTight { .. }) => return Ok(last_free),
-                Err(e) => return Err(e),
-            }
+    for extra in (0..CYCLE_BUDGET * 2 / 5).step_by(step as usize) {
+        match ctx.distribute(&mut plan, CYCLE_BUDGET - extra) {
+            Ok(result) if forced_multiport(&result) => return Ok(extra),
+            Ok(_) => last_free = extra,
+            Err(ExploreError::BudgetTooTight { .. }) => return Ok(last_free),
+            Err(e) => return Err(e),
         }
     }
     Ok(last_free)
@@ -529,7 +517,7 @@ pub fn on_chip_crossover_extra_cached<'a>(
 /// crossover fractions differ from the paper's because the access
 /// densities of the two BTPC implementations differ; the Table 3 rows
 /// of `tests/golden/paper_tables.txt` pin ours). The crossover probe
-/// runs on the context's worker pool and cache; the list is the same
+/// runs serially through the context's cache, so the list is the same
 /// for every worker count.
 ///
 /// # Errors
@@ -537,7 +525,7 @@ pub fn on_chip_crossover_extra_cached<'a>(
 /// Propagates transform and scheduling errors.
 pub fn extended_extras(ctx: &PaperContext) -> Result<Vec<u64>, ExploreError> {
     let spec = best_hierarchy_spec(ctx)?;
-    let crossover = on_chip_crossover_extra_cached(&spec, ctx.eval_ctx(), ctx.workers)?;
+    let crossover = on_chip_crossover_extra_cached(&spec, ctx.eval_ctx())?;
     let mut extras = paper_extras();
     for delta in [-2i64, 0, 2, 4, 6, 8, 10] {
         let extra = crossover as i64 + delta * (CYCLE_BUDGET / 100) as i64;

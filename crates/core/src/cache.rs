@@ -76,6 +76,7 @@
 //!
 //! ```
 //! use memx_core::cache::{EvalCache, EvalCtx};
+//! use memx_core::scbd::Plan;
 //! use memx_ir::{AccessKind, AppSpecBuilder};
 //! use memx_memlib::MemLibrary;
 //!
@@ -91,8 +92,9 @@
 //! let lib = MemLibrary::default_07um();
 //! let cache = EvalCache::open(&dir)?;
 //! let ctx = EvalCtx { lib: &lib, cache: Some(&cache) };
-//! let cold = ctx.distribute(&spec, 10_000)?; // computes, then stores
-//! let warm = ctx.distribute(&spec, 10_000)?; // served from disk
+//! let mut plan = Plan::new(&spec);
+//! let cold = ctx.distribute(&mut plan, 10_000)?; // computes, then stores
+//! let warm = ctx.distribute(&mut plan, 10_000)?; // served from disk
 //! assert_eq!(cold.total_budget, warm.total_budget);
 //! assert!(cache.stats().scbd_hits >= 1);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -626,10 +628,11 @@ impl<'a> From<&'a MemLibrary> for EvalCtx<'a> {
 }
 
 impl EvalCtx<'_> {
-    /// Distributes `spec`'s storage cycle budget like
-    /// [`scbd::distribute_with_budget`]; with a cache attached, the
-    /// result is served from disk when a valid entry exists and stored
-    /// otherwise. Hits are bit-identical to recomputation.
+    /// Distributes the storage cycle budget of `plan`'s spec like
+    /// [`scbd::Plan::distribute`]; with a cache attached, the result is
+    /// served from disk when a valid entry exists and stored otherwise.
+    /// Hits are bit-identical to recomputation. A budget sweep passes one
+    /// plan for all its budgets, so the misses share its pressure memo.
     ///
     /// Errors ([`ExploreError::BudgetTooTight`]) are never cached: they
     /// are cheap to rediscover and a budget that fails today may be
@@ -637,18 +640,22 @@ impl EvalCtx<'_> {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`scbd::distribute_with_budget`]; the cache
-    /// itself never fails an evaluation.
-    pub fn distribute(&self, spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
+    /// Exactly those of [`scbd::Plan::distribute`]; the cache itself
+    /// never fails an evaluation.
+    pub fn distribute(
+        &self,
+        plan: &mut scbd::Plan<'_>,
+        budget: u64,
+    ) -> Result<ScbdResult, ExploreError> {
         let Some(cache) = self.cache else {
-            return scbd::distribute_with_budget(spec, budget);
+            return plan.distribute(budget);
         };
-        let key = CacheKey::scbd(spec, budget);
+        let key = CacheKey::scbd(plan.spec(), budget);
         if let Some(result) = cache.load_scbd(&key) {
             cache.scbd.hit();
             return Ok(result);
         }
-        let result = scbd::distribute_with_budget(spec, budget)?;
+        let result = plan.distribute(budget)?;
         cache.scbd.miss();
         cache.store_scbd(&key, &result);
         Ok(result)
@@ -1088,7 +1095,7 @@ mod tests {
             lib: &lib,
             cache: Some(cache),
         }
-        .distribute(spec, budget)
+        .distribute(&mut scbd::Plan::new(spec), budget)
     }
 
     fn assert_same(a: &ScbdResult, b: &ScbdResult) {

@@ -63,7 +63,7 @@ use memx_memlib::MemLibrary;
 use crate::cache::{EvalCache, EvalCtx};
 use crate::explore::{evaluate_scheduled, CostReport, EvaluateOptions, Exploration};
 use crate::fan::pool;
-use crate::scbd::ScbdResult;
+use crate::scbd::{Plan, ScbdResult};
 use crate::ExploreError;
 
 /// Worker count for "one per available core" requests.
@@ -246,7 +246,7 @@ impl<'l> Engine<'l> {
                 let schedule = slot
                     .schedule
                     .take()
-                    .unwrap_or_else(|| ctx.distribute(point.spec, key.1));
+                    .unwrap_or_else(|| ctx.distribute(&mut Plan::new(point.spec), key.1));
                 slot.uses -= 1;
                 if slot.uses > 0 {
                     slot.schedule = Some(schedule.clone());

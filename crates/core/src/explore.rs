@@ -16,7 +16,7 @@ use memx_memlib::{CostBreakdown, MemLibrary};
 use crate::alloc::{assign_with_stats, check_cost_weights, AllocOptions, AllocStats, Organization};
 use crate::cache::EvalCtx;
 use crate::macp;
-use crate::scbd::ScbdResult;
+use crate::scbd::{Plan, ScbdResult};
 use crate::ExploreError;
 
 /// Options for a single end-to-end evaluation.
@@ -72,7 +72,7 @@ pub fn evaluate<'a>(
 ) -> Result<CostReport, ExploreError> {
     let ctx = ctx.into();
     let budget = options.cycle_budget.unwrap_or_else(|| spec.cycle_budget());
-    let schedule = ctx.distribute(spec, budget)?;
+    let schedule = ctx.distribute(&mut Plan::new(spec), budget)?;
     evaluate_scheduled(spec, ctx, schedule, options)
 }
 

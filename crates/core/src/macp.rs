@@ -72,7 +72,7 @@ pub struct MacpReport {
     /// Per-body chains.
     pub bodies: Vec<BodyPath>,
     /// Total MACP: `sum(iterations x critical_path)` over bodies
-    /// (sequential body execution).
+    /// (sequential body execution), saturating at `u64::MAX`.
     pub total_cycles: u64,
     /// The spec's storage cycle budget.
     pub budget: u64,
@@ -93,7 +93,7 @@ impl MacpReport {
     pub fn dominant_body(&self) -> Option<&BodyPath> {
         self.bodies
             .iter()
-            .max_by_key(|b| b.iterations * b.critical_path)
+            .max_by_key(|b| b.iterations.saturating_mul(b.critical_path))
     }
 }
 
@@ -108,7 +108,9 @@ pub fn analyze(spec: &AppSpec) -> MacpReport {
             critical_path: body_critical_path(spec, nest),
         })
         .collect();
-    let total_cycles = bodies.iter().map(|b| b.iterations * b.critical_path).sum();
+    let total_cycles = bodies.iter().fold(0u64, |sum, b| {
+        sum.saturating_add(b.iterations.saturating_mul(b.critical_path))
+    });
     MacpReport {
         bodies,
         total_cycles,

@@ -14,13 +14,13 @@
 //!   bounds, greedily minimizing overlap pressure (same-group overlaps
 //!   are worst, off-chip/off-chip overlaps next — they force multi-port
 //!   memories).
-//! * [`distribute`]: assign every body its minimum (critical-path)
-//!   budget, then spend the remaining global budget where it relieves
-//!   the most pressure per cycle — each grant costs
-//!   `iterations` cycles of global budget, which produces the paper's
-//!   characteristic budget jumps ("a decrease of the budget of one loop
-//!   body, which is executed 300 000 times, reduces the overall budget
-//!   with 300 000 cycles").
+//! * [`Plan::distribute`] (or [`distribute`] for a single budget):
+//!   assign every body its minimum (critical-path) budget, then spend
+//!   the remaining global budget where it relieves the most pressure per
+//!   cycle — each grant costs `iterations` cycles of global budget,
+//!   which produces the paper's characteristic budget jumps ("a decrease
+//!   of the budget of one loop body, which is executed 300 000 times,
+//!   reduces the overall budget with 300 000 cycles").
 //!
 //! # Sparse occupancy
 //!
@@ -38,31 +38,39 @@
 //!
 //! # Incremental grants
 //!
-//! One `distribute` call derives each body's budget-independent data
-//! once: durations, occupants, predecessor lists, topological order,
-//! ASAP, tail lengths and the critical path. Every schedule of that body
-//! at any budget reuses it.
+//! A [`Plan`] derives each body's budget-independent data once:
+//! durations, occupants, predecessor lists, topological order, ASAP,
+//! tail lengths and the critical path. Every schedule of that body, at
+//! any body budget and under any global budget the plan distributes,
+//! reuses it.
 //!
-//! Within one schedule, placed intervals are kept sorted by start, and a
-//! candidate start `s` of an access of duration `d` is scored only
-//! against the intervals with `start + max_dur > s` and `start < s + d`.
-//! The others cannot overlap `[s, s + d)`, so they add exactly zero.
-//! Breakpoints come from the same window around `[earliest, alap + d)`.
-//! Every cost term is an integer overlap times a multiple of 0.25, so
-//! the sums are exact in `f64` and do not depend on the order in which
-//! the terms are added. The windowed scorer therefore picks the same
-//! start as a scan over every placed access.
+//! Within one schedule, placed intervals are kept sorted by start. The
+//! overlap cost of starting an access of duration `d` at cycle `s` is
+//! piecewise linear in `s`: a placed interval `[a, b)` of pair weight `w`
+//! changes the slope by `+w` at `a - d`, `-w` at `a`, `-w` at `b - d` and
+//! `+w` at `b`. Only intervals with `start + max_dur > earliest` and
+//! `start < alap + d` can overlap the window, so only they are visited.
+//! One ascending sweep over their slope changes scores every candidate
+//! start: the window start, each breakpoint strictly inside the window,
+//! then the window end. That is the order a scan scoring each candidate
+//! separately uses, with the same strict comparison and the same early
+//! exit at zero. Every pair cost is a multiple of 0.25, so the sweep
+//! counts in integer quarters and every score is exact: the chosen start
+//! and the `f64` pressure are bit-identical to summing the terms one by
+//! one, in any order.
 //!
-//! The marginal-relief loop keeps each body's candidate schedules across
-//! rounds, keyed by absolute body budget. A candidate depends only on
-//! `(nest, body budget)`, so a kept one is never stale. A grant of `e`
-//! cycles keeps the granted body's candidates above its new budget and
-//! drops the rest; the other bodies keep theirs. While a body waits for
-//! its next grant its `max_extra` only shrinks, so each round offers it
-//! only budgets it was already scheduled at, and it never holds more
-//! than `GRANT_LOOKAHEAD` candidates. Bodies and extras are visited in the
+//! A schedule depends only on `(nest, body budget)`. So the plan keeps,
+//! per body, a memo from body budget to the pressure of the schedule at
+//! that budget (16 bytes an entry, never whole schedules), and the memo
+//! outlives one distribution. The marginal-relief loop reads every
+//! candidate pressure from it and schedules only budgets it has not seen:
+//! a budget sweep through one plan (the Table-3 crossover probe)
+//! schedules each body budget once. The global budget enters the loop
+//! only through the `max_extra` cap. Bodies and extras are visited in the
 //! same order as a loop that re-schedules every candidate every round,
-//! with the same strict comparison, so the same grants are made.
+//! with the same cap and strict comparison, so the same grants are made.
+//! Each body's final [`BodySchedule`] is built once, at its granted
+//! budget.
 //!
 //! Both shortcuts only skip work whose result is already known, so every
 //! schedule, budget and pressure is bit-identical to a full
@@ -97,7 +105,7 @@ pub(crate) const ON_CHIP_PAIR_COST: f64 = 2.0;
 pub(crate) const MIXED_PAIR_COST: f64 = 0.25;
 
 /// Grant lookahead of the marginal-relief loop in
-/// [`distribute_with_budget`]: how many extra cycles a body may be
+/// [`Plan::distribute`]: how many extra cycles a body may be
 /// offered at once to escape plateaus where one cycle alone does not
 /// reduce pressure yet. `pub(crate)` so the persistent cache folds it
 /// into its knobs fingerprint — tuning it changes the schedules, so it
@@ -115,6 +123,12 @@ fn pair_cost(a: &Occupant, b: &Occupant) -> f64 {
     } else {
         MIXED_PAIR_COST
     }
+}
+
+/// [`pair_cost`] in integer quarters: every pair cost is a multiple of
+/// 0.25, so overlap costs summed in quarters are exact.
+fn pair_quarters(a: &Occupant, b: &Occupant) -> u64 {
+    (pair_cost(a, b) * 4.0) as u64
 }
 
 /// One access occupying cycles of a body schedule.
@@ -304,6 +318,7 @@ pub fn schedule_body(
 
 /// The budget-independent facts about one body's flow graph, derived
 /// once per body and reused for every budget it is scheduled at.
+#[derive(Debug)]
 struct BodyPlan<'a> {
     nest: &'a LoopNest,
     /// Access durations, in access order.
@@ -430,75 +445,31 @@ impl<'a> BodyPlan<'a> {
         // overlap a window form one contiguous run.
         let mut placed: Vec<PlacedAccess> = Vec::with_capacity(n);
         let mut start = vec![0u64; n];
-        let mut pressure = 0.0;
-        let mut cands: Vec<u64> = Vec::new();
+        let mut quarters = 0;
+        let mut slopes = Vec::new();
         for &i in &self.topo {
-            let occupant = self.occupants[i];
-            let dur = self.dur[i];
             let alap = budget - self.tail[i];
             // Earliest start after scheduled predecessors.
             let earliest = self.preds[i]
                 .iter()
                 .fold(self.asap[i], |e, &p| e.max(start[p] + self.dur[p]));
             debug_assert!(earliest <= alap, "window collapsed for access {i}");
-            let mut best = earliest;
-            let mut best_cost = self.placement_cost(&placed, &occupant, earliest, dur);
-            if balance && best_cost > 0.0 {
-                // The overlap cost is piecewise linear in the start
-                // cycle; its leftmost minimizer over [earliest, alap] is
-                // either a window endpoint or a breakpoint — an endpoint
-                // of a placed interval, possibly shifted left by this
-                // access's duration. Evaluating only those candidates
-                // (ascending, strict improvement, early exit on zero)
-                // picks exactly the cycle a full per-cycle scan would.
-                // Only intervals starting in (earliest - max_dur,
-                // alap + dur) have a breakpoint strictly inside the
-                // window.
-                cands.clear();
-                cands.push(alap);
-                let near = self.overlapping(&placed, earliest, alap.saturating_add(dur));
-                for p in near {
-                    for c in [
-                        Some(p.start),
-                        Some(p.end()),
-                        p.start.checked_sub(dur),
-                        p.end().checked_sub(dur),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    {
-                        if c > earliest && c < alap {
-                            cands.push(c);
-                        }
-                    }
-                }
-                cands.sort_unstable();
-                cands.dedup();
-                for &s in &cands {
-                    let cost = self.placement_cost(&placed, &occupant, s, dur);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = s;
-                        if cost == 0.0 {
-                            break;
-                        }
-                    }
-                }
+            let mut access = PlacedAccess {
+                occupant: self.occupants[i],
+                start: earliest,
+                duration: self.dur[i],
+            };
+            let mut cost = self.overlap_cost(&placed, &access);
+            if balance && cost > 0 {
+                (access.start, cost) = self.sweep(&placed, access, cost, alap, &mut slopes);
             }
             // Each pair of accesses is counted once, when the later one
             // is placed, which is exactly what `BodySchedule::pressure`
             // sums cycle by cycle.
-            pressure += best_cost;
-            start[i] = best;
-            let at = placed.partition_point(|p| p.start <= best);
-            placed.insert(
-                at,
-                PlacedAccess {
-                    occupant,
-                    start: best,
-                    duration: dur,
-                },
-            );
+            quarters += cost;
+            start[i] = access.start;
+            let at = placed.partition_point(|p| p.start <= access.start);
+            placed.insert(at, access);
         }
         // Report placements in access order, not placement order.
         let placements = (0..n)
@@ -510,8 +481,92 @@ impl<'a> BodyPlan<'a> {
             .collect();
         Ok(Schedule {
             placements,
-            pressure,
+            pressure: quarters as f64 / 4.0,
         })
+    }
+
+    /// Overlap cost, in quarters, of `access` against the placed
+    /// intervals. Only the intervals that can overlap it are visited.
+    fn overlap_cost(&self, placed: &[PlacedAccess], access: &PlacedAccess) -> u64 {
+        let mut cost = 0;
+        for p in self.overlapping(placed, access.start, access.end()) {
+            let lo = access.start.max(p.start);
+            let hi = access.end().min(p.end());
+            if hi > lo {
+                cost += (hi - lo) * pair_quarters(&p.occupant, &access.occupant);
+            }
+        }
+        cost
+    }
+
+    /// The leftmost start in `[earliest, alap]` with the least overlap
+    /// cost for an access, and that cost in quarters, given the access
+    /// placed at its `earliest` start and its `cost` there. `slopes` is
+    /// scratch space.
+    ///
+    /// The cost is piecewise linear in the start, so its leftmost
+    /// minimizer is `earliest`, `alap` or a breakpoint in between. One
+    /// ascending sweep over the slope changes scores them in that order
+    /// (strict improvement, early exit on zero), as the module docs
+    /// describe.
+    fn sweep(
+        &self,
+        placed: &[PlacedAccess],
+        at_earliest: PlacedAccess,
+        cost: u64,
+        alap: u64,
+        slopes: &mut Vec<(u64, i64)>,
+    ) -> (u64, u64) {
+        let PlacedAccess {
+            occupant,
+            start: earliest,
+            duration: dur,
+        } = at_earliest;
+        // The slope just right of `earliest`, and the slope changes
+        // strictly inside the window. Wide integers, because the window
+        // can span almost the whole `u64` range.
+        let mut slope = 0i128;
+        slopes.clear();
+        for p in self.overlapping(placed, earliest, alap.saturating_add(dur)) {
+            let w = pair_quarters(&p.occupant, &occupant) as i64;
+            for (at, change) in [
+                (p.start.checked_sub(dur), w),
+                (Some(p.start), -w),
+                (p.end().checked_sub(dur), -w),
+                (Some(p.end()), w),
+            ] {
+                match at {
+                    Some(at) if at > earliest => {
+                        if at < alap {
+                            slopes.push((at, change));
+                        }
+                    }
+                    _ => slope += i128::from(change),
+                }
+            }
+        }
+        slopes.sort_unstable_by_key(|&(at, _)| at);
+        let mut changes = slopes.iter().peekable();
+        let (mut best, mut best_cost) = (earliest, i128::from(cost));
+        let (mut at, mut cost) = (earliest, best_cost);
+        while at < alap {
+            // The cost is linear up to the next breakpoint, or `alap`
+            // once every breakpoint is passed.
+            let next = changes.peek().map_or(alap, |c| c.0);
+            cost += slope * i128::from(next - at);
+            at = next;
+            if cost < best_cost {
+                best_cost = cost;
+                best = at;
+                if cost == 0 {
+                    break;
+                }
+            }
+            while let Some(&(_, change)) = changes.next_if(|c| c.0 == at) {
+                slope += i128::from(change);
+            }
+        }
+        (best, best_cost as u64)
     }
 
     /// The placed intervals (sorted by start) that may overlap
@@ -520,29 +575,6 @@ impl<'a> BodyPlan<'a> {
         let first = placed.partition_point(|p| p.start.saturating_add(self.max_dur) <= lo);
         let last = placed.partition_point(|p| p.start < hi);
         placed.get(first..last).unwrap_or_default()
-    }
-
-    /// Overlap cost of starting `occupant` (duration `dur`) at cycle `s`
-    /// against the accesses placed so far. Only the intervals that can
-    /// overlap `[s, s + dur)` are visited. Every term is an integer
-    /// overlap times a multiple of 0.25, so the sum is exact in `f64`
-    /// and does not depend on the order the terms are added in.
-    fn placement_cost(
-        &self,
-        placed: &[PlacedAccess],
-        occupant: &Occupant,
-        s: u64,
-        dur: u64,
-    ) -> f64 {
-        let mut cost = 0.0;
-        for p in self.overlapping(placed, s, s + dur) {
-            let lo = s.max(p.start);
-            let hi = (s + dur).min(p.end());
-            if hi > lo {
-                cost += (hi - lo) as f64 * pair_cost(&p.occupant, occupant);
-            }
-        }
-        cost
     }
 }
 
@@ -567,10 +599,12 @@ pub fn distribute(spec: &AppSpec) -> Result<ScbdResult, ExploreError> {
 /// Returns [`ExploreError::BudgetTooTight`] if even the per-body
 /// critical paths do not fit the global budget.
 pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-    let (plans, used) = critical_path_plans(spec, budget)?;
-    let bodies = plans
+    let plan = Plan::new(spec);
+    let used = plan.critical_path_cycles(budget)?;
+    let bodies = plan
+        .bodies
         .iter()
-        .map(|plan| plan.body_schedule(plan.critical_path, false))
+        .map(|body| body.body_schedule(body.critical_path, false))
         .collect::<Result<_, _>>()?;
     Ok(ScbdResult {
         bodies,
@@ -579,171 +613,154 @@ pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, Explor
     })
 }
 
-/// The plan of every non-empty body, and the global cycles their
-/// critical paths use.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::BudgetTooTight`], naming the heaviest body,
-/// if the critical paths do not fit `budget`.
-fn critical_path_plans(
-    spec: &AppSpec,
-    budget: u64,
-) -> Result<(Vec<BodyPlan<'_>>, u64), ExploreError> {
-    let plans: Vec<BodyPlan> = spec
-        .loop_nests()
-        .iter()
-        .filter(|n| !n.accesses().is_empty())
-        .map(|n| BodyPlan::new(spec, n))
-        .collect();
-    let used: u64 = plans
-        .iter()
-        .map(|p| p.nest.iterations() * p.critical_path)
-        .sum();
-    if used > budget {
-        let worst = plans
-            .iter()
-            .max_by_key(|p| p.nest.iterations() * p.critical_path)
-            .map(|p| p.nest.name().to_owned())
-            .unwrap_or_default();
-        return Err(ExploreError::BudgetTooTight {
-            nest: worst,
-            required: used,
-            available: budget,
-        });
-    }
-    Ok((plans, used))
-}
-
-/// One body during the marginal-relief loop: its granted budget, its
-/// schedule at that budget, and the candidate schedules above it that
-/// earlier rounds already computed.
-struct Grantee<'a> {
-    plan: BodyPlan<'a>,
-    budget: u64,
-    current: Schedule,
-    /// Candidates keyed by absolute body budget, all above `budget`;
-    /// at most [`GRANT_LOOKAHEAD`] of them.
-    lookahead: Vec<(u64, Schedule)>,
-}
-
-impl Grantee<'_> {
-    /// Pressure of the candidate schedule at body budget `budget`,
-    /// computed on first use and kept until a grant passes it.
-    fn candidate_pressure(&mut self, budget: u64) -> Result<f64, ExploreError> {
-        if let Some((_, kept)) = self.lookahead.iter().find(|(b, _)| *b == budget) {
-            return Ok(kept.pressure);
-        }
-        let candidate = self.plan.schedule(budget, true)?;
-        let pressure = candidate.pressure;
-        self.lookahead.push((budget, candidate));
-        Ok(pressure)
-    }
-
-    /// Grants `extra` cycles: the candidate at the new budget becomes
-    /// the schedule, and candidates at or below it are dropped.
-    fn grant(&mut self, extra: u64) -> Result<(), ExploreError> {
-        self.budget += extra;
-        let budget = self.budget;
-        // The granted budget was scored this round, so its candidate is
-        // kept; scheduling it afresh would give the same schedule.
-        self.current = match self.lookahead.iter().position(|(b, _)| *b == budget) {
-            Some(at) => self.lookahead.swap_remove(at).1,
-            None => self.plan.schedule(budget, true)?,
-        };
-        self.lookahead.retain(|(b, _)| *b > budget);
-        Ok(())
-    }
-}
-
 /// Like [`distribute`], but with an explicit global budget — the knob
 /// the designer turns in Table 3 ("the designer can opt for a lower
 /// storage cycle budget, to allow more cycles for the data processing").
 ///
 /// Thanks to the sparse schedule representation this handles budgets of
 /// any magnitude (10⁸-cycle real-time budgets and beyond): cost is
-/// proportional to the number of accesses, not the budget.
+/// proportional to the number of accesses, not the budget. A sweep over
+/// several budgets of one spec should share one [`Plan`] instead.
 ///
 /// # Errors
 ///
 /// Returns [`ExploreError::BudgetTooTight`] if the budget is below the
 /// sum of per-body critical paths.
 pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-    let (bodies, used) = grantees(spec, budget)?;
-    relieve(bodies, used, budget)
+    Plan::new(spec).distribute(budget)
 }
 
-/// Every non-empty body at its critical-path minimum budget, and the
-/// global cycles those budgets use.
-fn grantees(spec: &AppSpec, budget: u64) -> Result<(Vec<Grantee<'_>>, u64), ExploreError> {
-    let (plans, used) = critical_path_plans(spec, budget)?;
-    let bodies = plans
-        .into_iter()
-        .map(|plan| {
-            let current = plan.schedule(plan.critical_path, true)?;
-            Ok(Grantee {
-                budget: plan.critical_path,
-                plan,
-                current,
-                lookahead: Vec::with_capacity(GRANT_LOOKAHEAD as usize),
-            })
-        })
-        .collect::<Result<_, ExploreError>>()?;
-    Ok((bodies, used))
+/// The storage-cycle-budget distribution of one spec, prepared once and
+/// reused across global budgets: each body's flow-graph facts, and a
+/// memo of the pressure of every body budget scheduled so far (see
+/// "Incremental grants" in the module docs). Distributing a budget
+/// through a plan gives bit for bit what [`distribute_with_budget`]
+/// gives, whatever budgets the plan distributed before.
+#[derive(Debug)]
+pub struct Plan<'a> {
+    spec: &'a AppSpec,
+    /// Every non-empty body, in nest order.
+    bodies: Vec<BodyPlan<'a>>,
+    /// Per body: body budget → pressure of the schedule at that budget.
+    pressures: Vec<BTreeMap<u64, f64>>,
 }
 
-/// Greedy marginal-relief loop: grants extra cycles to the body with the
-/// best pressure relief per global-budget cycle until no grant relieves
-/// anything. A small lookahead (several cycles at once) escapes plateaus
-/// where one extra cycle alone does not reduce pressure yet. Candidates
-/// are kept across rounds (see "Incremental grants" in the module docs).
-fn relieve(
-    mut bodies: Vec<Grantee<'_>>,
-    mut used: u64,
-    budget: u64,
-) -> Result<ScbdResult, ExploreError> {
-    loop {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for (i, body) in bodies.iter_mut().enumerate() {
-            let pressure = body.current.pressure;
-            if pressure == 0.0 {
-                continue;
-            }
-            let step = body.plan.nest.iterations();
-            let max_extra = GRANT_LOOKAHEAD
-                .min(body.plan.serial.saturating_sub(body.budget))
-                .min(budget.saturating_sub(used) / step.max(1));
-            for extra in 1..=max_extra {
-                let candidate = body.candidate_pressure(body.budget + extra)?;
-                let relief = (pressure - candidate) * step as f64;
-                let relief_per_cycle = relief / (extra * step) as f64;
-                if relief_per_cycle > 0.0
-                    && best
-                        .as_ref()
-                        .map(|(_, _, r)| relief_per_cycle > *r)
-                        .unwrap_or(true)
-                {
-                    best = Some((i, extra, relief_per_cycle));
-                }
-            }
-        }
-        match best {
-            Some((i, extra, _)) => {
-                used += extra * bodies[i].plan.nest.iterations();
-                bodies[i].grant(extra)?;
-            }
-            None => break,
+impl<'a> Plan<'a> {
+    /// Derives the flow-graph facts of every non-empty body of `spec`.
+    pub fn new(spec: &'a AppSpec) -> Self {
+        let bodies: Vec<BodyPlan> = spec
+            .loop_nests()
+            .iter()
+            .filter(|n| !n.accesses().is_empty())
+            .map(|n| BodyPlan::new(spec, n))
+            .collect();
+        Plan {
+            spec,
+            pressures: vec![BTreeMap::new(); bodies.len()],
+            bodies,
         }
     }
 
-    Ok(ScbdResult {
-        bodies: bodies
-            .into_iter()
-            .map(|body| body.plan.body(body.budget, body.current))
-            .collect(),
-        used_cycles: used,
-        total_budget: budget,
-    })
+    /// The planned spec.
+    pub fn spec(&self) -> &'a AppSpec {
+        self.spec
+    }
+
+    /// Distributes the global `budget` over the bodies: every body starts
+    /// at its critical path, then a greedy marginal-relief loop grants
+    /// extra cycles to the body with the best pressure relief per global
+    /// cycle until no grant relieves anything. A small lookahead (several
+    /// cycles at once) escapes plateaus where one extra cycle alone does
+    /// not reduce pressure yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExploreError::BudgetTooTight`] if the budget is below
+    /// the sum of per-body critical paths.
+    pub fn distribute(&mut self, budget: u64) -> Result<ScbdResult, ExploreError> {
+        let mut used = self.critical_path_cycles(budget)?;
+        let mut budgets: Vec<u64> = self.bodies.iter().map(|b| b.critical_path).collect();
+        loop {
+            let mut best: Option<(usize, u64, f64)> = None;
+            for (i, (body, memo)) in self.bodies.iter().zip(&mut self.pressures).enumerate() {
+                let mut pressure_at = |budget: u64| -> Result<f64, ExploreError> {
+                    if let Some(&pressure) = memo.get(&budget) {
+                        return Ok(pressure);
+                    }
+                    let pressure = body.schedule(budget, true)?.pressure;
+                    memo.insert(budget, pressure);
+                    Ok(pressure)
+                };
+                let pressure = pressure_at(budgets[i])?;
+                if pressure == 0.0 {
+                    continue;
+                }
+                let step = body.nest.iterations();
+                let max_extra = GRANT_LOOKAHEAD
+                    .min(body.serial.saturating_sub(budgets[i]))
+                    .min(budget.saturating_sub(used) / step.max(1));
+                for extra in 1..=max_extra {
+                    let candidate = pressure_at(budgets[i] + extra)?;
+                    let relief = (pressure - candidate) * step as f64;
+                    let relief_per_cycle = relief / (extra * step) as f64;
+                    if relief_per_cycle > 0.0
+                        && best
+                            .as_ref()
+                            .map(|(_, _, r)| relief_per_cycle > *r)
+                            .unwrap_or(true)
+                    {
+                        best = Some((i, extra, relief_per_cycle));
+                    }
+                }
+            }
+            match best {
+                Some((i, extra, _)) => {
+                    used += extra * self.bodies[i].nest.iterations();
+                    budgets[i] += extra;
+                }
+                None => break,
+            }
+        }
+        let bodies = self
+            .bodies
+            .iter()
+            .zip(budgets)
+            .map(|(body, budget)| body.body_schedule(budget, true))
+            .collect::<Result<_, _>>()?;
+        Ok(ScbdResult {
+            bodies,
+            used_cycles: used,
+            total_budget: budget,
+        })
+    }
+
+    /// The global cycles the bodies' critical paths use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExploreError::BudgetTooTight`], naming the heaviest
+    /// body, if they do not fit `budget`. A total past `u64::MAX` never
+    /// fits, and is reported as `u64::MAX`.
+    fn critical_path_cycles(&self, budget: u64) -> Result<u64, ExploreError> {
+        let cycles = |b: &BodyPlan| b.nest.iterations().checked_mul(b.critical_path);
+        let used = self
+            .bodies
+            .iter()
+            .try_fold(0u64, |sum, b| sum.checked_add(cycles(b)?));
+        match used {
+            Some(used) if used <= budget => Ok(used),
+            used => Err(ExploreError::BudgetTooTight {
+                nest: self
+                    .bodies
+                    .iter()
+                    .max_by_key(|b| cycles(b).unwrap_or(u64::MAX))
+                    .map(|b| b.nest.name().to_owned())
+                    .unwrap_or_default(),
+                required: used.unwrap_or(u64::MAX),
+                available: budget,
+            }),
+        }
+    }
 }
 
 // Test-only (`#![cfg(test)]`): the naive scheduler the one above must
@@ -915,6 +932,30 @@ mod tests {
         let sched = schedule_body(&spec, nest, u64::MAX / 2).unwrap();
         assert!(sched.busy_cycles() <= 3);
         assert_eq!(sched.pressure(), 0.0);
+    }
+
+    #[test]
+    fn an_overflowing_critical_path_total_is_too_tight() {
+        // Two chained off-chip accesses take 8 cycles, and 2^62 bodies of
+        // them 2^65 cycles: the total must not wrap and fit the budget.
+        let mut b = AppSpecBuilder::new("t");
+        let g = b
+            .basic_group_placed("g", 1 << 20, 8, memx_ir::Placement::OffChip)
+            .unwrap();
+        let n = b.loop_nest("l", 1 << 62).unwrap();
+        let r = b.access(n, g, AccessKind::Read).unwrap();
+        let w = b.access(n, g, AccessKind::Write).unwrap();
+        b.depend(n, r, w).unwrap();
+        b.cycle_budget(u64::MAX);
+        let spec = b.build().unwrap();
+        assert_eq!(
+            distribute(&spec).unwrap_err(),
+            ExploreError::BudgetTooTight {
+                nest: "l".into(),
+                required: u64::MAX,
+                available: u64::MAX,
+            }
+        );
     }
 
     #[test]

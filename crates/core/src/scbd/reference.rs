@@ -6,9 +6,7 @@
 
 use memx_ir::{AccessId, AppSpec, LoopNest, Placement};
 
-use super::{
-    grantees, pair_cost, relieve, BodySchedule, Occupant, PlacedAccess, ScbdResult, GRANT_LOOKAHEAD,
-};
+use super::{pair_cost, BodySchedule, Occupant, PlacedAccess, Plan, ScbdResult, GRANT_LOOKAHEAD};
 use crate::macp::{access_duration, body_critical_path};
 use crate::ExploreError;
 
@@ -407,10 +405,57 @@ fn full_btpc_probe_budgets_match_the_reference_scheduler() {
     }
 }
 
-/// The differential check must notice a kept candidate that no longer
-/// belongs to its budget: here the body's current schedule is left in
-/// the lookahead under the next budget, as if a grant had forgotten to
-/// drop it.
+/// Drives `budgets` through one [`Plan`] per order: descending (the
+/// crossover probe's order), ascending, and every budget twice in a row
+/// after the whole list once. Every result must match an independent
+/// reference call bit for bit, whatever the plan's memo already holds.
+fn assert_plan_matches(spec: &AppSpec, budgets: &[u64]) {
+    let mut descending: Vec<(u64, Result<ScbdResult, ExploreError>)> = budgets
+        .iter()
+        .map(|&b| (b, distribute_with_budget(spec, b)))
+        .collect();
+    descending.sort_by_key(|(b, _)| std::cmp::Reverse(*b));
+    let ascending: Vec<_> = descending.iter().rev().collect();
+    let repeated: Vec<_> = descending
+        .iter()
+        .chain(descending.iter().flat_map(|case| [case, case]))
+        .collect();
+    for (order, cases) in [
+        ("descending", descending.iter().collect()),
+        ("ascending", ascending),
+        ("repeated", repeated),
+    ] {
+        let mut plan = Plan::new(spec);
+        for (budget, want) in cases {
+            if let Some(diff) = difference(&plan.distribute(*budget), want) {
+                panic!("{} at budget {budget} ({order}): {diff}", spec.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn specgen_budget_sweeps_through_one_plan_match_the_reference_scheduler() {
+    for index in 0..48 {
+        let spec = memx_ir::specgen::generate(0x5CBD, index).unwrap();
+        for spec in [loosened(&spec), spec] {
+            assert_plan_matches(&spec, &budget_range(&spec));
+        }
+    }
+}
+
+#[test]
+fn btpc_probe_sweeps_through_one_plan_match_the_reference_scheduler() {
+    let budgets: Vec<u64> = probe_budgets().collect();
+    for frame in [64, 128] {
+        assert_plan_matches(&btpc_best_hierarchy(frame), &budgets);
+    }
+}
+
+/// The differential check must notice a memoized pressure that does not
+/// belong to its budget: here, after one distribution, the body's
+/// pressure at its critical path is filed under the next budget, as if a
+/// schedule had been memoized under the wrong key.
 #[test]
 fn a_stale_candidate_is_caught() {
     let mut b = memx_ir::AppSpecBuilder::new("stale");
@@ -426,18 +471,16 @@ fn a_stale_candidate_is_caught() {
     let spec = b.build().unwrap();
 
     let want = distribute_with_budget(&spec, 1000);
-    assert_eq!(
-        difference(&super::distribute_with_budget(&spec, 1000), &want),
-        None
-    );
+    let mut plan = Plan::new(&spec);
+    assert_eq!(difference(&plan.distribute(1000), &want), None);
 
-    let (mut bodies, used) = grantees(&spec, 1000).unwrap();
-    let body = &mut bodies[0];
-    let stale = body.plan.schedule(body.budget, true).unwrap();
-    body.lookahead.push((body.budget + 1, stale));
-    let got = relieve(bodies, used, 1000);
+    let body = &plan.bodies[0];
+    let critical_path = body.critical_path;
+    let stale = body.schedule(critical_path, true).unwrap().pressure;
+    let poisoned = plan.pressures[0].insert(critical_path + 1, stale);
+    assert!(poisoned.is_some(), "the next budget was never memoized");
     assert!(
-        difference(&got, &want).is_some(),
+        difference(&plan.distribute(1000), &want).is_some(),
         "a stale candidate went unnoticed"
     );
 }

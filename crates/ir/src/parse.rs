@@ -821,6 +821,25 @@ spec v1 "demo" {
     }
 
     #[test]
+    fn an_overflowing_critical_path_is_refused() {
+        let text = r#"
+spec v1 "wrap" {
+  cycle_budget 10
+  group "g" { words 16 bitwidth 8 }
+  nest "l" {
+    iterations 9223372036854775808
+    read "g"
+    write "g"
+    dep 0 -> 1
+  }
+}
+"#;
+        let e = parse_spec(text).unwrap_err();
+        assert_eq!((e.line(), e.column()), (3, 16));
+        assert!(e.message().contains("critical path"), "{e}");
+    }
+
+    #[test]
     fn unknown_version_is_refused_with_position() {
         let e = parse_spec("spec v2 \"x\" {}").unwrap_err();
         assert_eq!((e.line(), e.column()), (1, 6));

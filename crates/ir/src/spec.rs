@@ -121,11 +121,11 @@ impl AppSpec {
     /// the sum over loop bodies of `iterations x critical-path length`,
     /// assuming unbounded memory bandwidth. This is the memory-access
     /// critical path (MACP) of §4.2 under sequential body execution.
+    /// Saturates at `u64::MAX`.
     pub fn min_cycles(&self) -> u64 {
-        self.nests
-            .iter()
-            .map(|n| n.iterations * n.critical_path_len())
-            .sum()
+        self.nests.iter().fold(0u64, |sum, n| {
+            sum.saturating_add(n.iterations.saturating_mul(n.critical_path_len()))
+        })
     }
 
     /// Checks internal referential integrity. A spec built through
@@ -607,6 +607,26 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_critical_path_rejected() {
+        // 2^63 iterations of a 2-access chain need 2^64 cycles, one past
+        // `u64::MAX`: the total saturates instead of wrapping to 0.
+        let mut b = AppSpecBuilder::new("t");
+        let g = b.basic_group("g", 16, 8).unwrap();
+        let n = b.loop_nest("l", 1 << 63).unwrap();
+        let a0 = b.access(n, g, AccessKind::Read).unwrap();
+        let a1 = b.access(n, g, AccessKind::Write).unwrap();
+        b.depend(n, a0, a1).unwrap();
+        b.cycle_budget(10);
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildSpecError::InfeasibleBudget {
+                critical_path: u64::MAX,
+                budget: 10,
+            }
+        );
     }
 
     #[test]
