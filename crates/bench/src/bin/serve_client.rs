@@ -1,5 +1,5 @@
-//! Scripted client for `memx-serve`, used by `scripts/serve_smoke.sh`
-//! and the bench harness to diff daemon-served rows against the offline
+//! Scripted client for `memx-serve`, used by the serve gate of
+//! `memx-gates` to diff daemon-served rows against the offline
 //! reference.
 //!
 //! Modes:

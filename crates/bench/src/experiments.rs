@@ -19,6 +19,7 @@
 //! hierarchy experiments target it (see [`best_hierarchy_spec`] and the
 //! Table 2 rows of `tests/golden/paper_tables.txt`).
 
+use std::ffi::OsString;
 use std::sync::Arc;
 
 use memx_btpc::spec::{btpc_app_spec, measure_profile, BtpcSpec};
@@ -112,21 +113,64 @@ impl Default for RunKnobs {
     }
 }
 
+/// The environment variables [`RunKnobs::from_env`] reads: every knob
+/// that can change what a reproduction binary does.
+pub const KNOB_VARS: [&str; 6] = [
+    "MEMX_SMOKE",
+    "MEMX_WORKERS",
+    "MEMX_NODE_LIMIT",
+    "MEMX_CACHE_DIR",
+    "MEMX_DOMINANCE",
+    "MEMX_BOUND",
+];
+
 impl RunKnobs {
     /// Resolves every knob from the process environment (and the
     /// `--smoke` argument). Binaries call this exactly once, at entry;
-    /// everything downstream takes the struct by value.
+    /// everything downstream takes the struct by value. A malformed
+    /// knob (`MEMX_BOUND` other than `pairwise`/`solo`, a non-integer
+    /// `MEMX_WORKERS` or `MEMX_NODE_LIMIT`) is named on stderr and
+    /// exits 2, so a mistyped setting never runs as the default.
     pub fn from_env() -> Self {
-        let smoke = std::env::var_os("MEMX_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
-            || std::env::args().any(|a| a == "--smoke");
-        let workers = std::env::var("MEMX_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let node_limit = std::env::var("MEMX_NODE_LIMIT")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let cache = std::env::var_os("MEMX_CACHE_DIR")
+        let smoke_arg = std::env::args().any(|a| a == "--smoke");
+        match Self::from_vars(|name| std::env::var_os(name), smoke_arg) {
+            Ok(knobs) => knobs,
+            Err(msg) => {
+                eprintln!("{msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// [`RunKnobs::from_env`] over an arbitrary variable lookup. An
+    /// empty variable counts as unset.
+    fn from_vars(var: impl Fn(&str) -> Option<OsString>, smoke_arg: bool) -> Result<Self, String> {
+        let text = |name: &str| -> Result<Option<String>, String> {
+            var(name)
+                .filter(|v| !v.is_empty())
+                .map(|v| v.into_string().map_err(|_| format!("{name} is not UTF-8")))
+                .transpose()
+        };
+        let int = |name: &str| -> Result<Option<u64>, String> {
+            text(name)?
+                .map(|v| v.parse().map_err(|_| format!("{name}={v}: not an integer")))
+                .transpose()
+        };
+        let smoke = var("MEMX_SMOKE").is_some_and(|v| !v.is_empty() && v != "0") || smoke_arg;
+        let workers = match int("MEMX_WORKERS")? {
+            Some(n) => usize::try_from(n).map_err(|_| format!("MEMX_WORKERS={n}: too large"))?,
+            None => 0,
+        };
+        let node_limit = int("MEMX_NODE_LIMIT")?;
+        let bound = match text("MEMX_BOUND")?.as_deref() {
+            None | Some("pairwise") => memx_core::alloc::BoundKind::Pairwise,
+            Some("solo") => memx_core::alloc::BoundKind::Solo,
+            Some(other) => {
+                return Err(format!("MEMX_BOUND={other}: want `pairwise` or `solo`"));
+            }
+        };
+        // Opened last: a malformed knob exits before the store is created.
+        let cache = var("MEMX_CACHE_DIR")
             .filter(|dir| !dir.is_empty())
             .and_then(|dir| match EvalCache::open(&dir) {
                 Ok(cache) => Some(Arc::new(cache)),
@@ -135,19 +179,15 @@ impl RunKnobs {
                     None
                 }
             });
-        let dominance = std::env::var("MEMX_DOMINANCE").ok().as_deref() != Some("0");
-        let bound = match std::env::var("MEMX_BOUND").ok().as_deref() {
-            Some("solo") => memx_core::alloc::BoundKind::Solo,
-            _ => memx_core::alloc::BoundKind::Pairwise,
-        };
-        RunKnobs {
+        let dominance = var("MEMX_DOMINANCE").is_none_or(|v| v != "0");
+        Ok(RunKnobs {
             smoke,
             workers,
             node_limit,
             cache,
             dominance,
             bound,
-        }
+        })
     }
 }
 
@@ -178,31 +218,38 @@ pub fn print_alloc_stat_lines(stats: impl IntoIterator<Item = AllocStats>) {
     eprintln!("[off-chip dominance cuts: {dominance_cuts}]");
 }
 
-/// Prints a binary's persistent-cache counters on stderr, one line per
-/// entry kind — the `[scbd cache: H hits / M misses]` /
-/// `[alloc cache: H hits / M misses]` / `[block cache: H hits / M
-/// misses]` lines `scripts/bench_baseline.sh`,
-/// `scripts/cache_roundtrip.sh` and `scripts/sharded_sweep.sh` grep.
-/// One owner for the label format, same rationale as
-/// [`print_alloc_stat_lines`]: warm/cold gates must be able to tell a
-/// served schedule from a served allocation, so the kinds are never
+/// Prints a binary's persistent-cache counters on stderr, one
+/// [`cache_stat_line`] per entry kind (`scbd`, `alloc`, `block`) — the
+/// lines `scripts/bench_baseline.sh` greps and `memx-gates` reads back
+/// with [`parse_cache_stat_line`]. Warm/cold gates must be able to tell
+/// a served schedule from a served allocation, so the kinds are never
 /// summed into one line. Binaries running uncached (no
 /// `MEMX_CACHE_DIR`) report `0 hits / 0 misses` on every line, keeping
-/// the lines grep-able in every mode.
+/// the lines readable in every mode.
 pub fn print_cache_stat_lines(cache: Option<&EvalCache>) {
-    let stats = cache.map(|c| c.stats()).unwrap_or_default();
-    eprintln!(
-        "[scbd cache: {} hits / {} misses]",
-        stats.scbd_hits, stats.scbd_misses
-    );
-    eprintln!(
-        "[alloc cache: {} hits / {} misses]",
-        stats.alloc_hits, stats.alloc_misses
-    );
-    eprintln!(
-        "[block cache: {} hits / {} misses]",
-        stats.blocks_hits, stats.blocks_misses
-    );
+    let s = cache.map(|c| c.stats()).unwrap_or_default();
+    for (kind, hits, misses) in [
+        ("scbd", s.scbd_hits, s.scbd_misses),
+        ("alloc", s.alloc_hits, s.alloc_misses),
+        ("block", s.blocks_hits, s.blocks_misses),
+    ] {
+        eprintln!("{}", cache_stat_line(kind, hits, misses));
+    }
+}
+
+/// The one owner of the cache-counter label format:
+/// `[<kind> cache: <hits> hits / <misses> misses]`.
+pub fn cache_stat_line(kind: &str, hits: u64, misses: u64) -> String {
+    format!("[{kind} cache: {hits} hits / {misses} misses]")
+}
+
+/// Reads a [`cache_stat_line`] back as `(kind, hits, misses)`; `None`
+/// for any other line.
+pub fn parse_cache_stat_line(line: &str) -> Option<(&str, u64, u64)> {
+    let body = line.strip_prefix('[')?.strip_suffix(" misses]")?;
+    let (kind, counts) = body.split_once(" cache: ")?;
+    let (hits, misses) = counts.split_once(" hits / ")?;
+    Some((kind, hits.parse().ok()?, misses.parse().ok()?))
 }
 
 /// Everything the experiments share: the profiled spec, the technology
@@ -660,4 +707,87 @@ pub fn plateau_spec(count: usize) -> AppSpec {
     b.cycle_budget(100_000);
     b.build()
         .expect("plateau spec construction is deterministic")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    fn knobs(vars: &[(&str, &str)]) -> Result<RunKnobs, String> {
+        RunKnobs::from_vars(
+            |name| {
+                vars.iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| OsString::from(v))
+            },
+            false,
+        )
+    }
+
+    #[test]
+    fn knobs_accept_well_formed_values() {
+        let k = knobs(&[
+            ("MEMX_BOUND", "solo"),
+            ("MEMX_WORKERS", "8"),
+            ("MEMX_NODE_LIMIT", "20000000"),
+            ("MEMX_DOMINANCE", "0"),
+            ("MEMX_SMOKE", "1"),
+        ])
+        .unwrap();
+        assert_eq!(k.bound, memx_core::alloc::BoundKind::Solo);
+        assert_eq!((k.workers, k.node_limit), (8, Some(20_000_000)));
+        assert!(k.smoke && !k.dominance && k.cache.is_none());
+        // Unset and empty both mean the default.
+        let d = knobs(&[("MEMX_BOUND", ""), ("MEMX_WORKERS", "")]).unwrap();
+        assert_eq!(d.bound, memx_core::alloc::BoundKind::Pairwise);
+        assert_eq!((d.workers, d.node_limit), (0, None));
+        assert!(!d.smoke && d.dominance);
+        let p = knobs(&[("MEMX_BOUND", "pairwise")]).unwrap();
+        assert_eq!(p.bound, memx_core::alloc::BoundKind::Pairwise);
+    }
+
+    #[test]
+    fn knobs_reject_malformed_values_by_name() {
+        for (var, value) in [
+            ("MEMX_BOUND", "Solo"),
+            ("MEMX_BOUND", "pairwise "),
+            ("MEMX_WORKERS", "eight"),
+            ("MEMX_WORKERS", "-1"),
+            ("MEMX_NODE_LIMIT", "2e7"),
+        ] {
+            let err = knobs(&[(var, value)]).unwrap_err();
+            assert!(err.contains(var) && err.contains(value), "{err}");
+        }
+    }
+
+    #[test]
+    fn knob_vars_lists_every_variable_read() {
+        let read = RefCell::new(Vec::new());
+        RunKnobs::from_vars(
+            |name| {
+                read.borrow_mut().push(name.to_string());
+                None
+            },
+            false,
+        )
+        .unwrap();
+        let mut read = read.into_inner();
+        read.sort();
+        read.dedup();
+        let mut listed: Vec<_> = KNOB_VARS.iter().map(|v| v.to_string()).collect();
+        listed.sort();
+        assert_eq!(read, listed);
+    }
+
+    #[test]
+    fn cache_stat_line_round_trips() {
+        for (kind, hits, misses) in [("scbd", 0, 0), ("alloc", 17, 3), ("block", u64::MAX, 1)] {
+            let line = cache_stat_line(kind, hits, misses);
+            assert_eq!(parse_cache_stat_line(&line), Some((kind, hits, misses)));
+        }
+        for other in ["[alloc nodes: 12]", "[scbd cache: x hits / 0 misses]", ""] {
+            assert_eq!(parse_cache_stat_line(other), None);
+        }
+    }
 }

@@ -140,8 +140,8 @@ const KIND_OFF_CHIP_BLOCKS: u32 = 3;
 /// weights, the grant lookahead, the timing constants — are hashed
 /// directly into the fingerprints and need no manual bump; *structural*
 /// changes are what this revision exists for. The backstop for a
-/// forgotten bump is CI's `cache_roundtrip.sh`, which diffs runs served
-/// from the cross-commit carried cache against an uncached reference
+/// forgotten bump is the cache gate of `memx-gates`, which CI runs on a
+/// cache carried across commits and diffs against an uncached reference
 /// run of the current binaries.
 pub const SCBD_ALGO_REVISION: u64 = 1;
 /// Revision of the allocation solver. Folded into the knobs fingerprint

@@ -1,7 +1,7 @@
 //! The `memx-serve` binary: CLI parsing, daemon boot, and a
 //! `--self-drive` mode that exercises the full client → wire → engine
-//! path against the in-process offline reference (used as step 0 of
-//! `scripts/serve_smoke.sh`).
+//! path against the in-process offline reference (the first step of the
+//! serve gate in `memx-gates`).
 //!
 //! All configuration arrives as CLI arguments; the daemon reads no
 //! environment variables (`std::env::args` is the one ambient input,

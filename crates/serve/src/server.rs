@@ -451,8 +451,10 @@ fn serve_evaluate(shared: &Shared, request: &Request, writer: &mut TcpStream) ->
     let delta = cache_delta(&before, &after);
     let mut trailers = vec![("x-memx-rows", rows_written.to_string())];
     trailers.extend(delta);
-    let finished = !broken && sink.finish(&trailers).is_ok();
+    // Counted before the final chunk goes out, so a client that has
+    // read the whole response already sees it in `/v1/stats`.
     shared.telemetry.note_request(rows_written);
+    let finished = !broken && sink.finish(&trailers).is_ok();
     if finished {
         Ok(())
     } else {

@@ -230,9 +230,6 @@ fn stats_counts_requests_and_rows() {
         .len() as u64;
     client::post_evaluate(addr, &demo).unwrap();
     client::post_evaluate(addr, &demo).unwrap();
-    // The counters are noted just after the response finishes; give the
-    // handler a beat before reading them.
-    std::thread::sleep(Duration::from_millis(200));
     let stats = client::get(addr, "/v1/stats").unwrap();
     let parsed = memx_serve::json::parse(&stats.body).unwrap();
     assert_eq!(parsed.get("requests").unwrap().as_u64().unwrap(), 2);
