@@ -21,11 +21,6 @@ use memx_core::engine::{DesignPoint, Engine};
 use memx_core::explore::EvaluateOptions;
 use memx_ir::{parse_spec, print_spec, specgen, AppSpec};
 
-/// Stream seed for the riding-along generator specs.
-const SPECGEN_SEED: u64 = 2026;
-/// How many generated specs join the corpus run.
-const SPECGEN_COUNT: u64 = 2;
-
 fn round_trip_or_exit(name: &str, spec: &AppSpec) {
     let text = print_spec(spec);
     let reparsed = match parse_spec(&text) {
@@ -51,7 +46,10 @@ fn main() {
         }
     };
 
-    let generated = match specgen::generate_batch(SPECGEN_SEED, SPECGEN_COUNT) {
+    let generated = match specgen::generate_batch(
+        experiments::CORPUS_SPECGEN_SEED,
+        experiments::CORPUS_SPECGEN_COUNT,
+    ) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("specgen rejected its own plan: {e}");
@@ -156,7 +154,7 @@ fn main() {
     println!(
         "corpus workloads: {} (+{} generated)",
         entries.len(),
-        SPECGEN_COUNT
+        experiments::CORPUS_SPECGEN_COUNT
     );
     experiments::print_alloc_stat_lines(stats);
     experiments::print_cache_stat_lines(cache.as_deref());

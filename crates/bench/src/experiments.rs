@@ -48,6 +48,11 @@ pub const SMOKE_PROFILE_FRAME: usize = 64;
 /// Branch-and-bound node budget in smoke mode (falls back to the best
 /// incumbent, so results stay well-formed, just not proven optimal).
 pub const SMOKE_NODE_LIMIT: u64 = 200_000;
+/// Stream seed of the generated specs that ride along with the corpus
+/// in `memx-corpus`.
+pub const CORPUS_SPECGEN_SEED: u64 = 2026;
+/// How many generated specs join the corpus run.
+pub const CORPUS_SPECGEN_COUNT: u64 = 2;
 
 /// Every ambient knob the reproduction *binaries* accept, resolved
 /// **once** at binary entry by [`RunKnobs::from_env`] and passed by

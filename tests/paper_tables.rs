@@ -30,7 +30,7 @@ use memx_core::alloc::{
     assign_with_stats, AllocOptions, AllocStats, BoundKind, MemoryKind, Organization,
 };
 use memx_core::cache::{EvalCache, ALLOC_ALGO_REVISION, SCBD_ALGO_REVISION};
-use memx_core::explore::CostReport;
+use memx_core::explore::{evaluate, CostReport, EvaluateOptions};
 use memx_ir::AppSpec;
 use memx_memlib::CostBreakdown;
 
@@ -228,7 +228,8 @@ fn render_table_effort(out: &mut String, ctx: &PaperContext) {
 
 /// Renders the effort snapshot: the paper tables in the full and the
 /// smoke context, Table 4 under the solo bound, the tie plateau with
-/// and without dominance, the cache revisions a count change bumps, and
+/// and without dominance, the `memx-corpus` workloads, the cache
+/// revisions a count change bumps, and
 /// the per-kind cache counters of a cold and a warm smoke Table 4.
 fn render_effort() -> String {
     let mut out = String::new();
@@ -266,6 +267,32 @@ fn render_effort() -> String {
         let (_, stats) =
             assign_with_stats(&spec, &schedule, &lib, &options).expect("plateau allocates");
         render_stats(&mut out, &format!("dominance={dominance}"), &stats);
+    }
+
+    // The corpus entries and the generated specs `memx-corpus` runs:
+    // other shapes through both solvers than the BTPC tables.
+    out.push_str("# corpus\n");
+    let options = EvaluateOptions {
+        cycle_budget: None,
+        alloc: AllocOptions {
+            workers: 1,
+            ..AllocOptions::default()
+        },
+    };
+    let corpus_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let entries = memx_core::corpus::load_dir(&corpus_dir).expect("corpus loads");
+    let generated = memx_ir::specgen::generate_batch(
+        experiments::CORPUS_SPECGEN_SEED,
+        experiments::CORPUS_SPECGEN_COUNT,
+    )
+    .expect("specgen plans are valid");
+    let specs = entries
+        .iter()
+        .map(|e| (e.name.as_str(), &e.spec))
+        .chain(generated.iter().map(|s| (s.name(), s)));
+    for (name, spec) in specs {
+        let report = evaluate(spec, &lib, &options).expect("corpus spec evaluates");
+        render_stats(&mut out, name, &report.alloc_stats);
     }
 
     let _ = writeln!(out, "# cache revisions");
