@@ -87,6 +87,30 @@ fn bench_alloc(c: &mut Criterion) {
             .expect("assignable")
         })
     });
+    // The smoke winner at the Table 3 crossover budget, swept serially
+    // under the smoke node budget: the search where prefix expansion
+    // is about a fifth of the time.
+    let smoke = experiments::context(RunKnobs {
+        smoke: true,
+        workers: 1,
+        ..RunKnobs::default()
+    });
+    let spec = experiments::best_hierarchy_spec(&smoke).expect("transforms valid");
+    let crossover =
+        experiments::on_chip_crossover_extra_cached(&spec, &smoke.lib).expect("probe runs");
+    let schedule = scbd::distribute_with_budget(&spec, experiments::CYCLE_BUDGET - crossover)
+        .expect("crossover budget feasible");
+    group.bench_function("smoke/sweep", |b| {
+        b.iter(|| {
+            assign_with_stats(
+                std::hint::black_box(&spec),
+                &schedule,
+                &smoke.lib,
+                &smoke.alloc,
+            )
+            .expect("assignable")
+        })
+    });
     group.finish();
 }
 

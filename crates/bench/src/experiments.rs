@@ -69,8 +69,7 @@ pub const CORPUS_SPECGEN_COUNT: u64 = 2;
 /// measures); `smoke` and `node_limit` trade fidelity for runtime.
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
-    /// Fast smoke-test mode (`MEMX_SMOKE` non-empty and not `0`, or a
-    /// `--smoke` argument): the cheap profile and reduced allocation
+    /// Fast smoke-test mode (`MEMX_SMOKE=1`, or a `--smoke` argument): the cheap profile and reduced allocation
     /// search budget — CI uses it to keep the paper-reproduction
     /// binaries from rotting.
     pub smoke: bool,
@@ -91,7 +90,7 @@ pub struct RunKnobs {
     /// rather than failing the run.
     pub cache: Option<Arc<EvalCache>>,
     /// Off-chip symmetric-group dominance rule (`MEMX_DOMINANCE=0`
-    /// disables it). The rule only removes symmetric duplicates, so the
+    /// disables it, `1` or unset keeps it). The rule only removes symmetric duplicates, so the
     /// returned organization is identical either way; only the node and
     /// cut counters differ.
     pub dominance: bool,
@@ -133,9 +132,10 @@ impl RunKnobs {
     /// Resolves every knob from the process environment (and the
     /// `--smoke` argument). Binaries call this exactly once, at entry;
     /// everything downstream takes the struct by value. A malformed
-    /// knob (`MEMX_BOUND` other than `pairwise`/`solo`, a non-integer
-    /// `MEMX_WORKERS` or `MEMX_NODE_LIMIT`) is named on stderr and
-    /// exits 2, so a mistyped setting never runs as the default.
+    /// knob (`MEMX_BOUND` other than `pairwise`/`solo`, `MEMX_SMOKE` or
+    /// `MEMX_DOMINANCE` other than `0`/`1`, a non-integer `MEMX_WORKERS`
+    /// or `MEMX_NODE_LIMIT`) is named on stderr and exits 2, so a
+    /// mistyped setting never runs as the default.
     pub fn from_env() -> Self {
         let smoke_arg = std::env::args().any(|a| a == "--smoke");
         match Self::from_vars(|name| std::env::var_os(name), smoke_arg) {
@@ -161,7 +161,16 @@ impl RunKnobs {
                 .map(|v| v.parse().map_err(|_| format!("{name}={v}: not an integer")))
                 .transpose()
         };
-        let smoke = var("MEMX_SMOKE").is_some_and(|v| !v.is_empty() && v != "0") || smoke_arg;
+        let flag = |name: &str| -> Result<Option<bool>, String> {
+            match text(name)?.as_deref() {
+                None => Ok(None),
+                Some("0") => Ok(Some(false)),
+                Some("1") => Ok(Some(true)),
+                Some(other) => Err(format!("{name}={other}: want `0` or `1`")),
+            }
+        };
+        let smoke = flag("MEMX_SMOKE")?.unwrap_or(false) || smoke_arg;
+        let dominance = flag("MEMX_DOMINANCE")?.unwrap_or(true);
         let workers = match int("MEMX_WORKERS")? {
             Some(n) => usize::try_from(n).map_err(|_| format!("MEMX_WORKERS={n}: too large"))?,
             None => 0,
@@ -184,7 +193,6 @@ impl RunKnobs {
                     None
                 }
             });
-        let dominance = var("MEMX_DOMINANCE").is_none_or(|v| v != "0");
         Ok(RunKnobs {
             smoke,
             workers,
@@ -744,7 +752,13 @@ mod tests {
         assert_eq!((k.workers, k.node_limit), (8, Some(20_000_000)));
         assert!(k.smoke && !k.dominance && k.cache.is_none());
         // Unset and empty both mean the default.
-        let d = knobs(&[("MEMX_BOUND", ""), ("MEMX_WORKERS", "")]).unwrap();
+        let d = knobs(&[
+            ("MEMX_BOUND", ""),
+            ("MEMX_WORKERS", ""),
+            ("MEMX_SMOKE", ""),
+            ("MEMX_DOMINANCE", ""),
+        ])
+        .unwrap();
         assert_eq!(d.bound, memx_core::alloc::BoundKind::Pairwise);
         assert_eq!((d.workers, d.node_limit), (0, None));
         assert!(!d.smoke && d.dominance);
@@ -760,6 +774,10 @@ mod tests {
             ("MEMX_WORKERS", "eight"),
             ("MEMX_WORKERS", "-1"),
             ("MEMX_NODE_LIMIT", "2e7"),
+            ("MEMX_SMOKE", "false"),
+            ("MEMX_SMOKE", "yes"),
+            ("MEMX_DOMINANCE", "off"),
+            ("MEMX_DOMINANCE", "2"),
         ] {
             let err = knobs(&[(var, value)]).unwrap_err();
             assert!(err.contains(var) && err.contains(value), "{err}");

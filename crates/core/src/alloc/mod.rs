@@ -46,9 +46,15 @@
 //! * the on-chip search carries its running scalar sum by value
 //!   (`acc − old + new`, restored from the saved bits on backtrack) and
 //!   reads its suffix bound with the still-to-open memory count, one
-//!   update per opened memory — the float expression is evaluated fresh
-//!   from the same table entries, never accumulated across nodes, so no
-//!   float drift is possible.
+//!   update per opened memory — one read of a dense table whose entries
+//!   hold the bound's float expression, evaluated once per entry and
+//!   never accumulated across nodes, so no float drift is possible.
+//!
+//! Both sums also answer what a step *would* commit without taking it
+//! (`peek_total`, the same float expression), so the search bounds and
+//! cuts a child before it sets it, and the prefix expansion keeps only
+//! a choice string per prefix, replayed into a sum when its subtree is
+//! explored (see `search.rs`).
 //!
 //! # Parallel search
 //!
@@ -389,9 +395,17 @@ impl<'a> Instance<'a> {
 /// The oracle is an immutable function of the spec and the schedule, so
 /// every branch-and-bound worker queries it through the shared
 /// [`Instance`]; each solver memoizes the prices built on top of it.
+/// Queries read the per-slot member masks; the entry lists stay the
+/// hashed form of the table.
 struct PortOracle {
     /// Each entry: (group index, simultaneous accesses) per busy cycle.
     slots: Vec<Vec<(usize, u32)>>,
+    /// `slots` as member masks: per slot, one `(members, count)` term
+    /// for each access count its groups make, so the slot's overlap with
+    /// a mask is Σ count × popcount(mask & members). Slot `s` owns the
+    /// terms up to `slot_ends[s]`.
+    terms: Vec<(u64, u32)>,
+    slot_ends: Vec<usize>,
     min_ports: Vec<u32>,
 }
 
@@ -416,8 +430,22 @@ impl PortOracle {
         }
         slots.sort();
         slots.dedup();
+        let (mut terms, mut slot_ends) = (Vec::new(), Vec::with_capacity(slots.len()));
+        for slot in &slots {
+            let mut by_count: BTreeMap<u32, u64> = BTreeMap::new();
+            for &(g, c) in slot {
+                // A group beyond the mask width is never in a mask.
+                if let Some(bit) = u32::try_from(g).ok().and_then(|g| 1u64.checked_shl(g)) {
+                    *by_count.entry(c).or_insert(0) |= bit;
+                }
+            }
+            terms.extend(by_count.into_iter().map(|(c, members)| (members, c)));
+            slot_ends.push(terms.len());
+        }
         PortOracle {
             slots,
+            terms,
+            slot_ends,
             min_ports: spec.basic_groups().iter().map(|g| g.min_ports()).collect(),
         }
     }
@@ -437,13 +465,14 @@ impl PortOracle {
             }
             m &= m - 1;
         }
-        for slot in &self.slots {
-            let overlap: u32 = slot
+        let mut start = 0;
+        for &end in &self.slot_ends {
+            let overlap: u32 = self.terms[start..end]
                 .iter()
-                .filter(|(g, _)| mask & (1 << *g) != 0)
-                .map(|&(_, c)| c)
+                .map(|&(members, c)| c * (mask & members).count_ones())
                 .sum();
             ports = ports.max(overlap);
+            start = end;
         }
         ports
     }

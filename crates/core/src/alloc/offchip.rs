@@ -104,10 +104,10 @@ use crate::ExploreError;
 /// The off-chip search's per-worker memo: every block price computed so
 /// far, by local subset mask (`None` for an infeasible block). It is
 /// complete, so it doubles as the persisted block catalog.
-type BlockPrices = BTreeMap<u64, Option<f64>>;
+pub(super) type BlockPrices = BTreeMap<u64, Option<f64>>;
 
 /// Shared read-only context of one off-chip partition search.
-struct OffChipCtx<'a> {
+pub(super) struct OffChipCtx<'a> {
     inst: &'a Instance<'a>,
     /// `floor_suffix[i]` = Σ over `inst.off_groups[i..]` of the per-group
     /// dynamic-power floor (see [`off_chip_group_floor`]).
@@ -118,7 +118,23 @@ struct OffChipCtx<'a> {
     sym_prev: Vec<bool>,
 }
 
-impl OffChipCtx<'_> {
+impl<'a> OffChipCtx<'a> {
+    /// The search context over `inst`'s off-chip groups, with the
+    /// dominance rule on when `dominance` holds. The part catalog must
+    /// not be empty.
+    pub(super) fn new(inst: &'a Instance<'a>, dominance: bool) -> Self {
+        let groups = &inst.off_groups;
+        let mut floor_suffix = vec![0.0; groups.len() + 1];
+        for i in (0..groups.len()).rev() {
+            floor_suffix[i] = floor_suffix[i + 1] + off_chip_group_floor(inst, groups[i]);
+        }
+        OffChipCtx {
+            inst,
+            floor_suffix,
+            sym_prev: off_chip_symmetry(inst, dominance),
+        }
+    }
+
     /// Global group-index mask of a local subset mask.
     fn global_mask(&self, mask: u64) -> u64 {
         bits(mask)
@@ -187,7 +203,7 @@ impl OffChipCtx<'_> {
     /// that is strictly cheaper. Returns `None` when some singleton is
     /// infeasible — port requirements are monotone, so no partition is
     /// feasible at all in that case.
-    fn greedy(&self, prices: &mut BlockPrices) -> Option<f64> {
+    pub(super) fn greedy(&self, prices: &mut BlockPrices) -> Option<f64> {
         let mut blocks: Vec<u64> = Vec::new();
         for i in 0..self.inst.off_groups.len() {
             let bit = 1u64 << i;
@@ -285,7 +301,7 @@ fn off_chip_group_floor(inst: &Instance<'_>, g: BasicGroupId) -> f64 {
 /// refolding reproduces the previous bits exactly (the fold consumes
 /// identical values in identical order), so backtracking is lossless.
 #[derive(Clone, Default)]
-struct BlockSum {
+pub(super) struct BlockSum {
     blocks: Vec<u64>,
     prices: Vec<f64>,
     prefix: Vec<f64>,
@@ -326,6 +342,17 @@ impl RunningSum for BlockSum {
             "running committed sum drifted from the fresh block-order fold"
         );
         total
+    }
+
+    /// The fold [`BlockSum::refold`] would run from `b` with block `b`
+    /// priced `price`.
+    fn peek_total(&self, b: usize, price: f64) -> f64 {
+        let mut acc = if b == 0 { 0.0 } else { self.prefix[b - 1] };
+        acc += price;
+        for &p in self.prices.iter().skip(b + 1) {
+            acc += p;
+        }
+        acc
     }
 
     /// Replaces block `b` (grow) or opens it at the end, refolding the
@@ -465,15 +492,7 @@ pub(super) fn assign_off_chip(
     stats.off_chip_exhaustive_partitions = stats
         .off_chip_exhaustive_partitions
         .saturating_add(bell_number(n));
-    let mut floor_suffix = vec![0.0; n + 1];
-    for i in (0..n).rev() {
-        floor_suffix[i] = floor_suffix[i + 1] + off_chip_group_floor(inst, groups[i]);
-    }
-    let ctx = OffChipCtx {
-        inst,
-        floor_suffix,
-        sym_prev: off_chip_symmetry(inst, options.off_chip_dominance),
-    };
+    let ctx = OffChipCtx::new(inst, options.off_chip_dominance);
     let mut prices = BlockPrices::new();
 
     // Pre-seed the price memo from a cached catalog when one exists.

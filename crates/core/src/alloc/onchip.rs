@@ -25,6 +25,13 @@
 //!   it only skips more of the tree (nodes visited are reported in
 //!   [`AllocStats`]).
 //!
+//! Either bound is read from one dense `(n + 1)²` table indexed by the
+//! suffix start and the count of memories still to open. Each entry
+//! holds the same float expression a per-node evaluation would give —
+//! `base[i] + per_block · to_open`, plus the forced joins' extras for
+//! the pairwise bound — evaluated once per entry when the sweep is
+//! built, so a node reads one `f64` and the bits do not change.
+//!
 //! # Bin price table
 //!
 //! Every node prices the bin it just grew, so each search worker's memo
@@ -35,8 +42,13 @@
 //! shift and a compare, and it returns the bits a fresh pricing would:
 //! a bin's price is a pure function of its local mask, and [`bits`]
 //! replays the members in push order, so every float fold runs in the
-//! same order. Only the cost of a price call changes, never where it is
-//! made, so results and node counts do not move.
+//! same order. Only the cost of a price call changes, never what it
+//! returns, so results and node counts do not move.
+//!
+//! A miss prices from the sweep's per-item arrays (global group bit,
+//! words, width, traffic) in one walk over the mask's members, and asks
+//! the [`super::PortOracle`] for ports by popcounts over per-slot member
+//! masks; the traffic fold still runs in push order.
 //!
 //! Local masks index the sweep's group order, so the sweep builds the
 //! memo once and drops it at the end. Worker clones start from the warm
@@ -109,16 +121,10 @@ fn group_floor(
 /// the pigeonhole principle forces, each at the group's cheapest
 /// pairwise-conflict extra.
 struct SuffixBound {
-    /// `base[i]` = Σ over `order[i..]` of the per-group floor (solo, or
-    /// solo + minimum-port tightening for the pairwise bound).
-    base: Vec<f64>,
-    /// `merge[i][m]` = sum of the `m` smallest join extras among
-    /// `order[i..]`; `None` for the solo bound.
-    merge: Option<Vec<Vec<f64>>>,
-    /// Area-weighted per-module overhead charged for every memory still
-    /// to be opened (each of the `k − open` future blocks pays at least
-    /// the module generator's fixed overhead). Zero for the solo bound.
-    per_block: f64,
+    /// `table[i * (n + 1) + to_open]` = the bound of the suffix
+    /// `order[i..]` with `to_open` memories still to open, for every
+    /// `i, to_open` in `0..=n`.
+    table: Vec<f64>,
     n: usize,
 }
 
@@ -139,7 +145,7 @@ impl SuffixBound {
             .iter()
             .map(|&g| floor(g, spec.group(g).words(), spec.group(g).bitwidth(), 1))
             .collect();
-        let (per_group, merge) = match kind {
+        let (per_group, join) = match kind {
             BoundKind::Solo => (solo, None),
             BoundKind::Pairwise => {
                 // Tightening 1 (unary): every memory holding `g` needs at
@@ -181,21 +187,7 @@ impl SuffixBound {
                             .unwrap_or(0.0)
                     })
                     .collect();
-                // merge[i][m]: the m smallest join extras of the suffix.
-                let mut merge = Vec::with_capacity(n + 1);
-                for i in 0..=n {
-                    let mut tail: Vec<f64> = join[i..].to_vec();
-                    tail.sort_by(f64::total_cmp);
-                    let mut sums = Vec::with_capacity(tail.len() + 1);
-                    let mut acc = 0.0;
-                    sums.push(0.0);
-                    for v in tail {
-                        acc += v;
-                        sums.push(acc);
-                    }
-                    merge.push(sums);
-                }
-                (tight, Some(merge))
+                (tight, Some(join))
             }
         };
         let mut base = vec![0.0; n + 1];
@@ -206,12 +198,31 @@ impl SuffixBound {
             BoundKind::Solo => 0.0,
             BoundKind::Pairwise => inst.lib.on_chip().module_overhead_mm2() * options.area_weight,
         };
-        SuffixBound {
-            base,
-            merge,
-            per_block,
-            n,
+        let mut table = Vec::with_capacity((n + 1) * (n + 1));
+        let mut merge = Vec::with_capacity(n + 1);
+        for i in 0..=n {
+            // merge[m]: the m smallest join extras of the suffix.
+            if let Some(join) = &join {
+                let mut tail: Vec<f64> = join[i..].to_vec();
+                tail.sort_by(f64::total_cmp);
+                merge.clear();
+                merge.push(0.0);
+                let mut acc = 0.0;
+                for v in tail {
+                    acc += v;
+                    merge.push(acc);
+                }
+            }
+            for to_open in 0..=n {
+                let base = base[i] + per_block * to_open as f64;
+                table.push(if join.is_some() {
+                    base + merge[(n - i).saturating_sub(to_open)]
+                } else {
+                    base
+                });
+            }
         }
+        SuffixBound { table, n }
     }
 
     /// Lower bound on the cost the unassigned suffix `order[i..]` adds,
@@ -221,19 +232,13 @@ impl SuffixBound {
     }
 
     /// [`SuffixBound::bound`] from the still-to-open count `to_open`
-    /// instead of `(open, k)`. The float expression is evaluated fresh
-    /// from the same table entries at every node — only the *integer*
-    /// count moves between nodes, so no float drift is possible.
+    /// (at most `n`) instead of `(open, k)`: one read of the table,
+    /// whose entry is the float expression evaluated once from the same
+    /// inputs — only the *integer* count moves between nodes, so no
+    /// float drift is possible.
     fn bound_with(&self, i: usize, to_open: usize) -> f64 {
-        let base = self.base[i] + self.per_block * to_open as f64;
-        match &self.merge {
-            None => base,
-            Some(merge) => {
-                let remaining = self.n - i;
-                let forced = remaining.saturating_sub(to_open);
-                base + merge[i][forced]
-            }
-        }
+        debug_assert!(to_open <= self.n, "more memories to open than groups");
+        self.table[i * (self.n + 1) + to_open]
     }
 }
 
@@ -309,13 +314,23 @@ impl BinMemo {
     }
 }
 
+/// What pricing reads of one local item: its global group bit, words,
+/// bitwidth and total traffic.
+struct Item {
+    global: u64,
+    words: u64,
+    width: u32,
+    traffic: f64,
+}
+
 /// Everything the on-chip sweep shares across allocation sizes: the
-/// hardest-first group order and the suffix bound tables (both are
-/// independent of `k`).
+/// hardest-first group order, its per-item pricing inputs and the suffix
+/// bound table (all independent of `k`).
 pub(super) struct OnChipSweep<'a> {
     inst: &'a Instance<'a>,
     options: &'a AllocOptions,
-    order: Vec<BasicGroupId>,
+    pub(super) order: Vec<BasicGroupId>,
+    items: Vec<Item>,
     bound: SuffixBound,
 }
 
@@ -323,60 +338,69 @@ impl<'a> OnChipSweep<'a> {
     pub(super) fn build(inst: &'a Instance<'a>, options: &'a AllocOptions) -> Self {
         let order = hardest_first(&inst.on_groups, &inst.traffic);
         let bound = SuffixBound::build(inst, options, &order, options.bound);
+        let items = order
+            .iter()
+            .map(|&g| Item {
+                global: 1u64 << g.index(),
+                words: inst.spec.group(g).words(),
+                width: inst.spec.group(g).bitwidth(),
+                traffic: inst.traffic[g.index()].total(),
+            })
+            .collect();
         OnChipSweep {
             inst,
             options,
             order,
+            items,
             bound,
         }
     }
 
-    /// Ports a memory holding the groups of the local mask `mask` needs.
-    fn ports(&self, mask: u64) -> u32 {
-        self.inst
-            .oracle
-            .required(bits(mask).map(|i| 1u64 << self.order[i].index()).sum())
+    /// Ports, words and width of one memory holding the groups of the
+    /// local mask `mask`.
+    fn dims(&self, mask: u64) -> (u32, u64, u32) {
+        let (mut global, mut words, mut width) = (0u64, 0u64, 0u32);
+        for i in bits(mask) {
+            let item = &self.items[i];
+            global |= item.global;
+            words += item.words;
+            width = width.max(item.width);
+        }
+        (self.inst.oracle.required(global), words, width)
     }
 
-    /// Words, width and cost of one `ports`-port memory holding the
-    /// groups of the local mask `mask`, folded in push order.
-    fn memory_cost(&self, mask: u64, ports: u32) -> (u64, u32, CostBreakdown) {
-        let (members, inst) = (bits(mask).map(|i| self.order[i]), self.inst);
-        let words: u64 = members.clone().map(|g| inst.spec.group(g).words()).sum();
-        let width = members
-            .clone()
-            .map(|g| inst.spec.group(g).bitwidth())
-            .max()
-            // memx-lint: allow(no-panic-paths) — bins are never empty (the canonical partition never opens an empty one).
-            .expect("memory not empty");
+    /// Cost of one memory of those dimensions holding the groups of
+    /// `mask`, their traffic folded in push order.
+    fn memory_cost(&self, mask: u64, (ports, words, width): (u32, u64, u32)) -> CostBreakdown {
+        let model = self.inst.lib.on_chip();
         let module = OnChipSpec::new(words, width, ports);
-        let area = inst.lib.on_chip().area_mm2(&module);
-        let energy = inst.lib.on_chip().energy_pj(&module);
-        let accesses: f64 = members.map(|g| inst.traffic[g.index()].total()).sum();
-        let mw = energy * accesses / inst.time_s / 1e9;
-        (words, width, CostBreakdown::new(area, mw, 0.0))
+        let area = model.area_mm2(&module);
+        let energy = model.energy_pj(&module);
+        let accesses: f64 = bits(mask).map(|i| self.items[i].traffic).sum();
+        let mw = energy * accesses / self.inst.time_s / 1e9;
+        CostBreakdown::new(area, mw, 0.0)
     }
 
     /// [`PartitionSolver::price`] without the memo's table.
     pub(super) fn fresh_price(&self, mask: u64) -> Option<f64> {
-        let ports = self.ports(mask);
-        (ports <= self.options.max_on_chip_ports).then(|| {
-            let (_, _, cost) = self.memory_cost(mask, ports);
+        let dims = self.dims(mask);
+        (dims.0 <= self.options.max_on_chip_ports).then(|| {
+            let cost = self.memory_cost(mask, dims);
             cost.scalar(self.options.area_weight, self.options.power_weight)
         })
     }
 
     /// The ready-made instance of a winning bin.
     fn memory(&self, mask: u64) -> MemoryInstance {
-        let ports = self.ports(mask);
-        let (words, width, cost) = self.memory_cost(mask, ports);
+        let dims = self.dims(mask);
+        let (ports, words, width) = dims;
         MemoryInstance {
             groups: bits(mask).map(|i| self.order[i]).collect(),
             words,
             width,
             ports,
             kind: MemoryKind::OnChip,
-            cost,
+            cost: self.memory_cost(mask, dims),
         }
     }
 }
@@ -404,6 +428,13 @@ impl RunningSum for ScalarSum {
 
     fn total(&self) -> f64 {
         self.acc
+    }
+
+    fn peek_total(&self, b: usize, scalar: f64) -> f64 {
+        match self.scalars.get(b) {
+            Some(&replaced) => self.acc - replaced + scalar,
+            None => self.acc + scalar,
+        }
     }
 
     fn set(&mut self, b: usize, mask: u64, scalar: f64) -> Self::Undo {

@@ -9,6 +9,26 @@
 //! outcomes reduce in canonical order with strict improvement — the
 //! serial first-found-minimum tie-break.
 //!
+//! # Prefixes as choice strings
+//!
+//! A prefix is stored as its restricted-growth choice string — the bin
+//! each of its items joined, one byte per item, back to back in one
+//! arena per expansion level ([`Prefixes`]) — plus its root lower bound.
+//! No per-prefix running sum is materialized: a child is priced and
+//! bounded through [`RunningSum::peek_total`], which evaluates the float
+//! expression [`RunningSum::set`] would commit, and is dropped when
+//! pruned before anything is copied. A subtree's root sum is rebuilt by
+//! replaying its choices through [`RunningSum::set`] ([`Search::seek`]):
+//! prices are pure functions of the local mask, and the replay applies
+//! the same `set` calls, with the same prices, in the same order as the
+//! expansion that kept the prefix, so the rebuilt sum carries the same
+//! bins and the same total bits. Moving a cursor between prefixes undoes
+//! back to their common prefix first, and an undo restores the previous
+//! bits exactly (1. below), so a walked cursor ends on the same bits as
+//! a fresh replay. The depth-first search enters each child the same
+//! way: budget, bin-count and cut checks run on the peeked total, and
+//! only a child that is entered is set and later undone.
+//!
 //! A solver supplies only what differs ([`PartitionSolver`]); the
 //! bin-count range is data ([`Search::min_bins`], [`Search::max_bins`]).
 //! Three per-solver behaviours stay apart, because results and published
@@ -54,6 +74,10 @@ pub(super) trait RunningSum: Clone + Default + Send + Sync {
     fn bins(&self) -> &[u64];
     /// The committed cost of the bins.
     fn total(&self) -> f64;
+    /// The total [`RunningSum::set`] of bin `b` to a bin priced `price`
+    /// would commit, computed by the same float expression without
+    /// changing anything.
+    fn peek_total(&self, b: usize, price: f64) -> f64;
     /// Sets bin `b` to `mask` priced `price`; `b == bins().len()` opens
     /// a new bin.
     fn set(&mut self, b: usize, mask: u64, price: f64) -> Self::Undo;
@@ -96,13 +120,41 @@ pub(super) trait PartitionSolver: Sync {
     fn merge_memo(&self, _main: &mut Self::Memo, _worker: Self::Memo) {}
 }
 
-/// A partial canonical partition of the first `depth` items.
-#[derive(Clone)]
-pub(super) struct Prefix<S> {
-    sum: S,
+/// The prefix subtrees of one expansion level, all `depth` items deep:
+/// each prefix's restricted-growth choice string (`choices[d]` is the
+/// bin item `d` joined), back to back in one byte arena, and its root
+/// lower bound.
+pub(super) struct Prefixes {
     depth: usize,
-    /// The bin item `depth - 1` chose (0 at the root).
-    prev_choice: usize,
+    choices: Vec<u8>,
+    pub bounds: Vec<f64>,
+}
+
+impl Prefixes {
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// The choice string of prefix `j`.
+    pub fn choices(&self, j: usize) -> &[u8] {
+        &self.choices[j * self.depth..(j + 1) * self.depth]
+    }
+}
+
+/// A running sum positioned on one choice string, with the undo record
+/// of every step, so it can walk from prefix to prefix.
+pub(super) struct Cursor<S: RunningSum> {
+    pub sum: S,
+    path: Vec<(usize, S::Undo)>,
+}
+
+impl<S: RunningSum> Default for Cursor<S> {
+    fn default() -> Self {
+        Cursor {
+            sum: S::default(),
+            path: Vec::new(),
+        }
+    }
 }
 
 /// Outcome and search-effort counters of one subtree, or of a whole
@@ -137,17 +189,22 @@ pub(super) struct Search<'a, S> {
 }
 
 impl<S: PartitionSolver> Search<'_, S> {
-    /// Lower bound of a node: the committed sum plus the suffix bound.
-    fn lower_bound(&self, sum: &S::Sum, depth: usize) -> f64 {
-        let to_open = self.max_bins.saturating_sub(sum.bins().len());
-        sum.total() + self.solver.suffix_bound(depth, to_open)
+    /// Lower bound of a node with `bins` bins committing `total` at
+    /// `depth`: the committed sum plus the suffix bound.
+    fn lower_bound(&self, total: f64, bins: usize, depth: usize) -> f64 {
+        total
+            + self
+                .solver
+                .suffix_bound(depth, self.max_bins.saturating_sub(bins))
     }
 
-    /// Whether the node `sum` at `depth` is pruned: it can no longer
-    /// open enough bins, or its bound is cut.
-    fn pruned(&self, sum: &S::Sum, depth: usize, outer: f64, best: Option<f64>) -> bool {
-        sum.bins().len() + (self.n - depth) < self.min_bins
-            || self.solver.cut(self.lower_bound(sum, depth), outer, best)
+    /// Whether that node is pruned: it can no longer open enough bins,
+    /// or its bound is cut.
+    fn pruned(&self, total: f64, bins: usize, depth: usize, outer: f64, best: Option<f64>) -> bool {
+        bins + (self.n - depth) < self.min_bins
+            || self
+                .solver
+                .cut(self.lower_bound(total, bins, depth), outer, best)
     }
 
     /// Visits the children of the node `sum` at `depth` in depth-first
@@ -178,6 +235,36 @@ impl<S: PartitionSolver> Search<'_, S> {
         start as u64
     }
 
+    /// Moves `cursor` onto the choice string `choices`: undoes its steps
+    /// back to the common prefix, then replays the rest through
+    /// [`RunningSum::set`] with the bins' prices. `None` if some replayed
+    /// bin does not price, which a string [`Search::expand`] kept cannot
+    /// hit.
+    pub fn seek(
+        &self,
+        memo: &mut S::Memo,
+        cursor: &mut Cursor<S::Sum>,
+        choices: &[u8],
+    ) -> Option<()> {
+        let common = cursor
+            .path
+            .iter()
+            .zip(choices)
+            .take_while(|((b, _), &c)| *b == usize::from(c))
+            .count();
+        while cursor.path.len() > common {
+            let (b, undo) = cursor.path.pop()?;
+            cursor.sum.undo(b, undo);
+        }
+        for (depth, &c) in choices.iter().enumerate().skip(common) {
+            let (b, bit) = (usize::from(c), 1u64 << depth);
+            let mask = cursor.sum.bins().get(b).map_or(bit, |m| m | bit);
+            let price = self.solver.price(memo, mask)?;
+            cursor.path.push((b, cursor.sum.set(b, mask, price)));
+        }
+        Some(())
+    }
+
     /// Runs the search: expands the canonical tree into prefix subtrees,
     /// fans them over `workers` against `outer` with `node_limit` nodes,
     /// and reduces the outcomes in canonical order with strict
@@ -202,15 +289,12 @@ impl<S: PartitionSolver> Search<'_, S> {
         workers: usize,
     ) -> Outcome {
         let (prefixes, mut total) = self.expand(memo, outer);
-        let bounds: Vec<f64> = prefixes
-            .iter()
-            .map(|p| self.lower_bound(&p.sum, p.depth))
-            .collect();
+        let bounds = &prefixes.bounds;
         let mut claim_order: Vec<usize> = (0..prefixes.len()).collect();
         claim_order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
         let value = |r: &Outcome| r.best.as_ref().map(|b| b.0);
         let (collected, worker_memos) = seeded_fan(
-            &bounds,
+            bounds,
             &claim_order,
             outer,
             memo,
@@ -224,7 +308,7 @@ impl<S: PartitionSolver> Search<'_, S> {
                         node_limit.saturating_sub(seed.nodes) / prefixes.len() as u64,
                     ),
                 };
-                let out = self.explore(memo, &prefixes[j], outer, budget);
+                let out = self.explore(memo, prefixes.choices(j), outer, budget);
                 (value(&out), out)
             },
         );
@@ -252,7 +336,7 @@ impl<S: PartitionSolver> Search<'_, S> {
                 }
             }
         }
-        total.exhausted = collected.iter().zip(&bounds).any(|(r, &lb)| {
+        total.exhausted = collected.iter().zip(bounds).any(|(r, &lb)| {
             r.as_ref().is_some_and(|r| r.exhausted) && !self.solver.skip(lb, best_val)
         });
         total.best = best.map(|bins| (best_val, bins));
@@ -262,38 +346,48 @@ impl<S: PartitionSolver> Search<'_, S> {
     /// Expands the canonical tree breadth-first (children in depth-first
     /// candidate order, so the prefix sequence preserves the serial
     /// visiting order) until at least [`TARGET_SUBTREES`] prefixes exist
-    /// or every item is assigned. Pruned children are dropped.
-    fn expand(&self, memo: &mut S::Memo, outer: f64) -> (Vec<Prefix<S::Sum>>, Outcome) {
+    /// or every item is assigned. A child is priced and bounded through
+    /// [`RunningSum::peek_total`] before anything is copied: a pruned
+    /// child is dropped, a kept one appends its choice string and root
+    /// bound. One cursor walks the parents in order, so consecutive
+    /// parents share all but their last few replayed steps.
+    pub fn expand(&self, memo: &mut S::Memo, outer: f64) -> (Prefixes, Outcome) {
         let mut effort = Outcome::default();
-        let mut level = vec![Prefix {
-            sum: S::Sum::default(),
+        let mut cursor = Cursor::<S::Sum>::default();
+        let mut level = Prefixes {
             depth: 0,
-            prev_choice: 0,
-        }];
-        while level.len() < TARGET_SUBTREES && level.iter().any(|p| p.depth < self.n) {
-            let mut next: Vec<Prefix<S::Sum>> = Vec::with_capacity(level.len() * 2);
-            for p in &level {
-                if p.depth == self.n {
-                    next.push(p.clone());
+            choices: Vec::new(),
+            bounds: vec![self.lower_bound(cursor.sum.total(), 0, 0)],
+        };
+        while level.len() < TARGET_SUBTREES && level.depth < self.n {
+            let depth = level.depth;
+            let mut next = Prefixes {
+                depth: depth + 1,
+                choices: Vec::with_capacity(level.len() * 2 * (depth + 1)),
+                bounds: Vec::with_capacity(level.len() * 2),
+            };
+            for j in 0..level.len() {
+                let choices = level.choices(j);
+                if self.seek(memo, &mut cursor, choices).is_none() {
                     continue;
                 }
-                let mut sum = p.sum.clone();
-                let visit = |_: &mut S::Memo, parent: &mut S::Sum, b, mask, price| {
-                    let mut sum = parent.clone();
-                    sum.set(b, mask, price);
+                let open = cursor.sum.bins().len();
+                let prev_choice = choices.last().map_or(0, |&c| usize::from(c));
+                let visit = |_: &mut S::Memo, sum: &mut S::Sum, b, _, price| {
                     effort.updates += u64::from(S::Sum::COUNT_EVERY_STEP);
-                    if !self.pruned(&sum, p.depth + 1, outer, None) {
-                        next.push(Prefix {
-                            sum,
-                            depth: p.depth + 1,
-                            prev_choice: b,
-                        });
+                    let (total, bins) = (sum.peek_total(b, price), open + usize::from(b == open));
+                    if !self.pruned(total, bins, depth + 1, outer, None) {
+                        next.choices.extend_from_slice(choices);
+                        // Items are bits of a `u64` mask, so a bin index
+                        // always fits a byte.
+                        next.choices.push(b as u8);
+                        next.bounds.push(self.lower_bound(total, bins, depth + 1));
                     }
                 };
-                let cuts = self.branch(memo, &mut sum, p.depth, p.prev_choice, visit);
+                let cuts = self.branch(memo, &mut cursor.sum, depth, prev_choice, visit);
                 effort.dominance_cuts += cuts;
             }
-            if next.is_empty() {
+            if next.len() == 0 {
                 return (next, effort); // every branch infeasible or cut
             }
             level = next;
@@ -312,19 +406,26 @@ struct Dfs<'a, 'b, S> {
 }
 
 impl<S: PartitionSolver> Dfs<'_, '_, S> {
-    fn recurse(&mut self, memo: &mut S::Memo, depth: usize, sum: &mut S::Sum, prev_choice: usize) {
+    /// Counts a node with `bins` bins committing `total` at `depth` and
+    /// says whether to descend into it: the budget is left and the node
+    /// is not pruned.
+    fn enter(&mut self, total: f64, bins: usize, depth: usize) -> bool {
         if S::STOP_AT_LIMIT && self.out.exhausted {
-            return;
+            return false;
         }
         self.out.nodes += 1;
         if self.out.nodes > self.node_limit {
             self.out.exhausted = true;
-            return;
+            return false;
         }
+        let best = self.out.best.as_ref().map(|b| b.0);
+        !self.search.pruned(total, bins, depth, self.outer, best)
+    }
+
+    /// Descends into an entered node: records it as the best leaf, or
+    /// enters each child from its peeked total and only then sets it.
+    fn recurse(&mut self, memo: &mut S::Memo, depth: usize, sum: &mut S::Sum, prev_choice: usize) {
         let search = self.search;
-        if search.pruned(sum, depth, self.outer, self.out.best.as_ref().map(|b| b.0)) {
-            return;
-        }
         if depth == search.n {
             self.out.partitions += 1;
             self.out.best = Some((sum.total(), sum.bins().to_vec()));
@@ -337,11 +438,14 @@ impl<S: PartitionSolver> Dfs<'_, '_, S> {
             depth,
             prev_choice,
             |memo, sum, b, mask, price| {
-                let undo = sum.set(b, mask, price);
                 // Opening a bin always counts as an update.
                 self.out.updates += u64::from(S::Sum::COUNT_EVERY_STEP || b == open);
-                self.recurse(memo, depth + 1, sum, b);
-                sum.undo(b, undo);
+                let bins = open + usize::from(b == open);
+                if self.enter(sum.peek_total(b, price), bins, depth + 1) {
+                    let undo = sum.set(b, mask, price);
+                    self.recurse(memo, depth + 1, sum, b);
+                    sum.undo(b, undo);
+                }
             },
         );
         self.out.dominance_cuts += cuts;
@@ -349,24 +453,34 @@ impl<S: PartitionSolver> Dfs<'_, '_, S> {
 }
 
 impl<S: PartitionSolver> Search<'_, S> {
-    /// Explores the subtree under prefix `p` against the fixed outer
-    /// bound `outer` with a private node budget `budget`.
-    fn explore(&self, memo: &mut S::Memo, p: &Prefix<S::Sum>, outer: f64, budget: u64) -> Outcome {
+    /// Explores the subtree under the prefix `choices` against the fixed
+    /// outer bound `outer` with a private node budget `budget`. The
+    /// prefix's sum is rebuilt by replaying its choices through
+    /// [`RunningSum::set`]: the same steps in the same order as the
+    /// expansion took, so the same bits.
+    fn explore(&self, memo: &mut S::Memo, choices: &[u8], outer: f64, budget: u64) -> Outcome {
         let mut dfs = Dfs {
             search: self,
             outer,
             node_limit: budget,
             out: Outcome::default(),
         };
-        if p.depth == self.n {
+        let mut cursor = Cursor::default();
+        if self.seek(memo, &mut cursor, choices).is_none() {
+            return dfs.out;
+        }
+        let (sum, depth) = (&mut cursor.sum, choices.len());
+        let (total, bins) = (sum.total(), sum.bins().len());
+        if depth == self.n {
             // The whole tree fit into the prefix expansion: the prefix
             // *is* a complete partition.
             dfs.out.nodes = 1;
             dfs.out.partitions = 1;
-            dfs.out.best = (!self.pruned(&p.sum, p.depth, outer, None))
-                .then(|| (p.sum.total(), p.sum.bins().to_vec()));
-        } else {
-            dfs.recurse(memo, p.depth, &mut p.sum.clone(), p.prev_choice);
+            dfs.out.best = (!self.pruned(total, bins, depth, outer, None))
+                .then(|| (total, sum.bins().to_vec()));
+        } else if dfs.enter(total, bins, depth) {
+            let prev_choice = choices.last().map_or(0, |&c| usize::from(c));
+            dfs.recurse(memo, depth, sum, prev_choice);
         }
         dfs.out
     }

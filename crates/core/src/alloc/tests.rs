@@ -1297,3 +1297,282 @@ fn bin_memo_tables_are_sized_from_the_group_count_and_capped() {
     assert_eq!(slots(60), 1 << 12);
     assert_eq!(std::mem::size_of::<onchip::Slot>(), 16);
 }
+
+/// SplitMix64: the random masks of the differential tests below.
+fn split_mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The schedules the differential tests run on: the smoke best-hierarchy
+/// BTPC spec at its own budget and at 70 % of it, frames read twice per
+/// cycle, and the generated specs that schedule.
+fn differential_instances() -> Vec<(AppSpec, ScbdResult)> {
+    let btpc = scbd::reference::btpc_best_hierarchy(64);
+    let budgets = [btpc.cycle_budget(), btpc.cycle_budget() / 10 * 7];
+    let mut out: Vec<_> = budgets
+        .into_iter()
+        .filter_map(|b| Some((btpc.clone(), scbd::distribute_with_budget(&btpc, b).ok()?)))
+        .collect();
+    assert_eq!(out.len(), 2, "both BTPC budgets schedule");
+    let frames = fourteen_conflicting_frames_spec();
+    let s = scbd::distribute(&frames).unwrap();
+    out.push((frames, s));
+    for index in 0..24 {
+        let spec = memx_ir::specgen::generate(0xB1A5, index).unwrap();
+        // Generated budgets can be too tight for multi-cycle accesses.
+        if let Ok(s) = scbd::distribute(&spec) {
+            out.push((spec, s));
+        }
+    }
+    out
+}
+
+/// [`PortOracle::required`] by its definition: the largest group port
+/// minimum, or the most simultaneous accesses of the mask's groups in
+/// one conflict slot, found entry by entry.
+fn slot_scan_required(oracle: &PortOracle, mask: u64) -> u32 {
+    let mut ports = search::bits(mask)
+        .filter_map(|i| oracle.min_ports.get(i).copied())
+        .fold(1, u32::max);
+    for slot in &oracle.slots {
+        let overlap: u32 = slot
+            .iter()
+            .filter(|&&(g, _)| g < 64 && mask & (1 << g) != 0)
+            .map(|&(_, c)| c)
+            .sum();
+        ports = ports.max(overlap);
+    }
+    ports
+}
+
+#[test]
+fn popcount_port_requirements_match_the_slot_scan() {
+    let (lib, mut rng) = (lib(), 0x5107u64);
+    let (mut multi_port, mut multi_access) = (0, false);
+    for (spec, s) in differential_instances() {
+        let inst = Instance::new(&spec, &s, &lib).unwrap();
+        multi_access |= inst.oracle.slots.iter().flatten().any(|&(_, c)| c > 1);
+        let accessed: Vec<u64> = inst
+            .on_groups
+            .iter()
+            .chain(&inst.off_groups)
+            .map(|g| 1u64 << g.index())
+            .collect();
+        for _ in 0..2_000 {
+            let pick = split_mix(&mut rng);
+            let mask: u64 = accessed
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| pick >> (i % 64) & 1 != 0)
+                .map(|(_, &bit)| bit)
+                .sum();
+            for mask in [mask, split_mix(&mut rng)] {
+                let want = slot_scan_required(&inst.oracle, mask);
+                assert_eq!(inst.oracle.required(mask), want, "mask {mask:#x}");
+                multi_port += u32::from(want > 1);
+            }
+        }
+    }
+    assert!(multi_port > 0, "no mask needed more than one port");
+    assert!(multi_access, "no slot holds a group twice");
+}
+
+/// The on-chip bin price through `spec.group(g)` lookups and the
+/// per-entry slot scan, as the sweep priced before its per-item arrays.
+fn looked_up_price(
+    inst: &Instance<'_>,
+    options: &AllocOptions,
+    order: &[BasicGroupId],
+    mask: u64,
+) -> Option<f64> {
+    let members = search::bits(mask).map(|i| order[i]);
+    let global = members.clone().map(|g| 1u64 << g.index()).sum();
+    let ports = slot_scan_required(&inst.oracle, global);
+    if ports > options.max_on_chip_ports {
+        return None;
+    }
+    let words: u64 = members.clone().map(|g| inst.spec.group(g).words()).sum();
+    let width = members
+        .clone()
+        .map(|g| inst.spec.group(g).bitwidth())
+        .max()?;
+    let module = memx_memlib::OnChipSpec::new(words, width, ports);
+    let area = inst.lib.on_chip().area_mm2(&module);
+    let energy = inst.lib.on_chip().energy_pj(&module);
+    let accesses: f64 = members.map(|g| inst.traffic[g.index()].total()).sum();
+    let mw = energy * accesses / inst.time_s / 1e9;
+    Some(CostBreakdown::new(area, mw, 0.0).scalar(options.area_weight, options.power_weight))
+}
+
+#[test]
+fn item_table_prices_match_group_lookups_bit_for_bit() {
+    let (lib, mut rng) = (lib(), 0x9121u64);
+    let mut infeasible = 0;
+    for (spec, s) in differential_instances() {
+        let inst = Instance::new(&spec, &s, &lib).unwrap();
+        let n = inst.on_groups.len();
+        if n == 0 {
+            continue;
+        }
+        for max_on_chip_ports in [1, 2, 4] {
+            let options = AllocOptions {
+                max_on_chip_ports,
+                ..AllocOptions::default()
+            };
+            let sweep = onchip::OnChipSweep::build(&inst, &options);
+            let all = (1u64 << n) - 1;
+            for _ in 0..1_000 {
+                let mask = split_mix(&mut rng) & all;
+                if mask == 0 {
+                    continue;
+                }
+                let want = looked_up_price(&inst, &options, &sweep.order, mask);
+                let got = sweep.fresh_price(mask);
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{mask:#x}");
+                infeasible += u32::from(want.is_none());
+            }
+        }
+    }
+    assert!(infeasible > 0, "no infeasible bin was priced");
+}
+
+/// The prefix expansion the search ran before choice strings: every
+/// child a clone of its parent's sum with one more [`search::RunningSum::set`],
+/// kept unless pruned. Checks [`search::RunningSum::peek_total`] against
+/// each materialized child on the way.
+fn materialized_prefixes<S: search::PartitionSolver>(
+    search: &search::Search<'_, S>,
+    memo: &mut S::Memo,
+    outer: f64,
+) -> Vec<(Vec<u8>, S::Sum)> {
+    use search::RunningSum;
+    let mut level = vec![(Vec::new(), S::Sum::default())];
+    let mut depth = 0;
+    while level.len() < crate::fan::TARGET_SUBTREES && depth < search.n {
+        let mut next = Vec::new();
+        for (choices, sum) in &level {
+            let (bit, open) = (1u64 << depth, sum.bins().len());
+            let prev = choices.last().map_or(0, |&c| usize::from(c));
+            let joins = (search.solver.dominance_start(depth, prev)..open)
+                .map(|b| (b, sum.bins()[b] | bit));
+            let new = (open < search.max_bins).then_some((open, bit));
+            for (b, mask) in joins.chain(new) {
+                let Some(price) = search.solver.price(memo, mask) else {
+                    continue;
+                };
+                let mut child = sum.clone();
+                child.set(b, mask, price);
+                assert_eq!(sum.peek_total(b, price).to_bits(), child.total().to_bits());
+                let bins = child.bins().len();
+                let to_open = search.max_bins.saturating_sub(bins);
+                let lb = child.total() + search.solver.suffix_bound(depth + 1, to_open);
+                if bins + (search.n - depth - 1) >= search.min_bins
+                    && !search.solver.cut(lb, outer, None)
+                {
+                    let mut choices = choices.clone();
+                    choices.push(u8::try_from(b).unwrap());
+                    next.push((choices, child));
+                }
+            }
+        }
+        if next.is_empty() {
+            return next;
+        }
+        (level, depth) = (next, depth + 1);
+    }
+    level
+}
+
+/// Expands `search` against `outer` and checks every prefix against the
+/// materialized expansion: the same choice strings in the same order,
+/// the root bound of the materialized sum, and replays — fresh, and by
+/// one cursor walking all prefixes in order — with the same bins and
+/// total bits. Returns the prefix count.
+fn check_replays<S: search::PartitionSolver>(
+    search: &search::Search<'_, S>,
+    memo: &mut S::Memo,
+    outer: f64,
+) -> usize {
+    use search::RunningSum;
+    let want = materialized_prefixes(search, memo, outer);
+    let (prefixes, _) = search.expand(memo, outer);
+    assert_eq!(prefixes.len(), want.len());
+    let mut walker = search::Cursor::default();
+    for (j, (choices, sum)) in want.iter().enumerate() {
+        assert_eq!(prefixes.choices(j), &choices[..]);
+        let to_open = search.max_bins.saturating_sub(sum.bins().len());
+        let lb = sum.total() + search.solver.suffix_bound(choices.len(), to_open);
+        assert_eq!(prefixes.bounds[j].to_bits(), lb.to_bits(), "prefix {j}");
+        let mut fresh = search::Cursor::default();
+        for cursor in [&mut fresh, &mut walker] {
+            search.seek(memo, cursor, choices).unwrap();
+            assert_eq!(cursor.sum.bins(), sum.bins(), "prefix {j}");
+            assert_eq!(cursor.sum.total().to_bits(), sum.total().to_bits());
+        }
+    }
+    want.len()
+}
+
+#[test]
+fn replayed_on_chip_prefixes_match_the_materialized_sums() {
+    let lib = lib();
+    let mut prefixes = 0;
+    for (spec, s) in differential_instances() {
+        let inst = Instance::new(&spec, &s, &lib).unwrap();
+        let n = inst.on_groups.len();
+        let options = AllocOptions::default();
+        let sweep = onchip::OnChipSweep::build(&inst, &options);
+        let mut memo = onchip::BinMemo::new(n);
+        for k in 1..=n {
+            let greedy = onchip::greedy_bins(&sweep, &mut memo, n, k);
+            let search = search::Search {
+                solver: &sweep,
+                n,
+                min_bins: k,
+                max_bins: k,
+            };
+            for outer in [greedy.map_or(f64::INFINITY, |g| g.0), f64::INFINITY] {
+                prefixes += check_replays(&search, &mut memo, outer);
+            }
+        }
+    }
+    assert!(prefixes > 10_000, "only {prefixes} prefixes checked");
+}
+
+#[test]
+fn replayed_off_chip_prefixes_match_the_materialized_sums() {
+    let lib = lib();
+    let btpc = scbd::reference::btpc_best_hierarchy(64);
+    let specs = [
+        btpc,
+        off_heavy_spec(),
+        many_off_chip_spec(13),
+        fourteen_conflicting_frames_spec(),
+        plateau_off_chip_spec(10),
+    ];
+    let mut prefixes = 0;
+    for spec in &specs {
+        let s = scbd::distribute(spec).unwrap();
+        let inst = Instance::new(spec, &s, &lib).unwrap();
+        let n = inst.off_groups.len();
+        for dominance in [true, false] {
+            let ctx = offchip::OffChipCtx::new(&inst, dominance);
+            let mut memo = offchip::BlockPrices::new();
+            let greedy = ctx.greedy(&mut memo).unwrap();
+            let search = search::Search {
+                solver: &ctx,
+                n,
+                min_bins: 0,
+                max_bins: n,
+            };
+            for outer in [greedy, f64::INFINITY] {
+                prefixes += check_replays(&search, &mut memo, outer);
+            }
+        }
+    }
+    assert!(prefixes > 2_000, "only {prefixes} prefixes checked");
+}

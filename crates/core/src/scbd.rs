@@ -765,7 +765,7 @@ impl<'a> Plan<'a> {
 
 // Test-only (`#![cfg(test)]`): the naive scheduler the one above must
 // match bit for bit, and the differential tests that check it.
-mod reference;
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

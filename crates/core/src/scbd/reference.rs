@@ -373,7 +373,7 @@ fn single_bodies_match_the_reference_scheduler() {
 /// The paper's best-hierarchy BTPC spec (the Table-1 merge, then the
 /// Table-2 `ylocal` layer) profiled on a `frame`×`frame` image, with the
 /// same constants as the reproduction binaries.
-fn btpc_best_hierarchy(frame: usize) -> AppSpec {
+pub(crate) fn btpc_best_hierarchy(frame: usize) -> AppSpec {
     let profile = memx_btpc::spec::measure_profile(frame, frame, 0xB7C0DE);
     let btpc = memx_btpc::spec::btpc_app_spec(&profile, 1024, 1024, 20_000_000).unwrap();
     let merged = crate::structuring::merge(&btpc.spec, btpc.pyr, btpc.ridge).unwrap();

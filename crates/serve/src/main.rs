@@ -8,6 +8,7 @@
 //! and it is read once, here).
 
 use std::io::Write;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -148,12 +149,14 @@ fn serve(cli: &Cli) -> Result<(), String> {
 /// Boots the daemon on an ephemeral port and proves, over real TCP,
 /// that served rows are byte-identical to the offline reference — cold,
 /// then warm (with a cache, the warm pass must also report hits).
+/// Without `--cache-dir` the store is a fresh temp directory of the
+/// daemon's own, removed again on every exit path.
 fn self_drive(cli: &Cli) -> Result<(), String> {
-    let cache_dir = match &cli.cache_dir {
-        Some(dir) => dir.clone(),
+    let (cache_dir, _own_store) = match &cli.cache_dir {
+        Some(dir) => (dir.clone(), None),
         None => {
             let dir = std::env::temp_dir().join(format!("memx-serve-drive-{}", std::process::id()));
-            dir.to_string_lossy().into_owned()
+            (dir.to_string_lossy().into_owned(), Some(OwnStore(dir)))
         }
     };
     let cli_with_cache = Cli {
@@ -205,6 +208,15 @@ fn self_drive(cli: &Cli) -> Result<(), String> {
     }
     println!("self-drive stats: {}", String::from_utf8_lossy(&stats.body));
     Ok(())
+}
+
+/// A store directory the daemon created for itself, removed on drop.
+struct OwnStore(PathBuf);
+
+impl Drop for OwnStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Sums the hit counts out of the `x-memx-cache-*` trailers

@@ -238,3 +238,32 @@ fn stats_counts_requests_and_rows() {
         2 * rows
     );
 }
+
+#[test]
+fn self_drive_removes_only_the_store_it_created() {
+    let tmp = std::env::temp_dir().join(format!("memx-self-drive-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).unwrap();
+    let drive = |extra: &[&std::ffi::OsStr]| {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_memx-serve"))
+            .args(["--self-drive", "--workers", "1"])
+            .args(extra)
+            .env("TMPDIR", &tmp)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert!(status.success(), "self-drive failed: {status}");
+    };
+    drive(&[]);
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+    assert!(
+        left.is_empty(),
+        "self-drive left its store behind: {left:?}"
+    );
+    // A store the caller names is the caller's: it stays, warm.
+    let store = tmp.join("store");
+    drive(&["--cache-dir".as_ref(), store.as_os_str()]);
+    let kept = std::fs::read_dir(&store).map(|d| d.count()).unwrap_or(0);
+    std::fs::remove_dir_all(&tmp).unwrap();
+    assert!(kept > 0, "the --cache-dir store was removed or left empty");
+}
