@@ -1381,8 +1381,8 @@ fn popcount_port_requirements_match_the_slot_scan() {
     assert!(multi_access, "no slot holds a group twice");
 }
 
-/// The on-chip bin price through `spec.group(g)` lookups and the
-/// per-entry slot scan, as the sweep priced before its per-item arrays.
+/// The on-chip bin price by its definition: `spec.group(g)` lookups
+/// and the per-entry slot scan.
 fn looked_up_price(
     inst: &Instance<'_>,
     options: &AllocOptions,
@@ -1440,10 +1440,10 @@ fn item_table_prices_match_group_lookups_bit_for_bit() {
     assert!(infeasible > 0, "no infeasible bin was priced");
 }
 
-/// The prefix expansion the search ran before choice strings: every
-/// child a clone of its parent's sum with one more [`search::RunningSum::set`],
-/// kept unless pruned. Checks [`search::RunningSum::peek_total`] against
-/// each materialized child on the way.
+/// The materializing prefix expansion: every child a clone of its
+/// parent's sum with one more [`search::RunningSum::set`], kept unless
+/// pruned. Checks [`search::RunningSum::peek_total`] against each
+/// materialized child on the way.
 fn materialized_prefixes<S: search::PartitionSolver>(
     search: &search::Search<'_, S>,
     memo: &mut S::Memo,
