@@ -5,12 +5,13 @@
 //! alone cannot prune — and prints the proven-optimal organization plus
 //! the search-effort counters.
 //!
-//! `scripts/bench_baseline.sh` runs it twice (`MEMX_DOMINANCE` on/off)
-//! to record the dominance node cut that `scripts/bench_regression.sh`
-//! gates. Stdout is bit-identical for every worker count, bound and
-//! dominance setting (the rule only removes symmetric duplicates, never
-//! the canonical-first optimum), so the determinism matrix covers it
-//! like every other binary; only the stderr counters move.
+//! Run it with `MEMX_DOMINANCE` on and off to see the dominance node
+//! cut; the `# tie plateau` section of `tests/golden/effort.txt` pins
+//! both counts exactly. Stdout is bit-identical for every worker count,
+//! bound and dominance setting (the rule only removes symmetric
+//! duplicates, never the canonical-first optimum), so the determinism
+//! matrix covers it like every other binary; only the stderr counters
+//! move.
 
 use memx_bench::experiments;
 use memx_core::alloc::{assign_with_stats, AllocOptions, MemoryKind};

@@ -65,8 +65,8 @@ pub const CORPUS_SPECGEN_COUNT: u64 = 2;
 ///
 /// Exploration results are bit-identical across `workers`, `cache`,
 /// `dominance` and `bound` settings (each knob only trades wall-clock
-/// or search-effort counters, which is what `scripts/bench_baseline.sh`
-/// measures); `smoke` and `node_limit` trade fidelity for runtime.
+/// or search-effort counters, which `tests/golden/effort.txt` pins);
+/// `smoke` and `node_limit` trade fidelity for runtime.
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
     /// Fast smoke-test mode (`MEMX_SMOKE=1`, or a `--smoke` argument): the cheap profile and reduced allocation
@@ -80,8 +80,9 @@ pub struct RunKnobs {
     /// budgets both the on-chip searches (which degrade to their greedy
     /// incumbent on exhaustion) and the off-chip partition search
     /// (which instead raises the deterministic `TooManyOffChipGroups`
-    /// exhaustion signal). `scripts/bench_baseline.sh` raises it when
-    /// comparing the two lower bounds: node counts only measure pruning
+    /// exhaustion signal). Raise it when comparing the two lower
+    /// bounds, as `pairwise_bound_prunes_the_table4_workload`
+    /// (`tests/paper_tables.rs`) does: node counts only measure pruning
     /// when the search runs to exactness.
     pub node_limit: Option<u64>,
     /// Persistent evaluation cache (`MEMX_CACHE_DIR` names a directory
@@ -206,10 +207,10 @@ impl RunKnobs {
 
 /// Prints a batch's allocation search-effort counters on stderr — the
 /// `[alloc nodes: N]` / `[off-chip nodes: N]` / `[off-chip exhaustive:
-/// N]` lines `scripts/bench_baseline.sh` greps. One owner for the label
-/// format: the table binaries must not hand-roll these lines, or a
-/// label tweak applied to one binary but not the other would leave the
-/// bench JSON with empty fields.
+/// N]` lines; `tests/golden/effort.txt` pins the same counters exactly.
+/// One owner for the label format: the table binaries must not
+/// hand-roll these lines, or a label tweak applied to one binary but
+/// not the other would leave their stderr inconsistent.
 ///
 /// Takes bare [`AllocStats`] values — what the streaming table binaries
 /// accumulate (stats are `Copy`, so a row's counters outlive the report
@@ -233,10 +234,10 @@ pub fn print_alloc_stat_lines(stats: impl IntoIterator<Item = AllocStats>) {
 
 /// Prints a binary's persistent-cache counters on stderr, one
 /// [`cache_stat_line`] per entry kind (`scbd`, `alloc`, `block`) — the
-/// lines `scripts/bench_baseline.sh` greps and `memx-gates` reads back
-/// with [`parse_cache_stat_line`]. Warm/cold gates must be able to tell
-/// a served schedule from a served allocation, so the kinds are never
-/// summed into one line. Binaries running uncached (no
+/// lines `memx-gates` reads back with [`parse_cache_stat_line`] to
+/// demand hits and no misses on a warm pass. Warm/cold gates must be
+/// able to tell a served schedule from a served allocation, so the
+/// kinds are never summed into one line. Binaries running uncached (no
 /// `MEMX_CACHE_DIR`) report `0 hits / 0 misses` on every line, keeping
 /// the lines readable in every mode.
 pub fn print_cache_stat_lines(cache: Option<&EvalCache>) {
@@ -684,9 +685,9 @@ pub fn paper_allocations() -> Vec<u32> {
 /// enough that the full Bell tree (~142 k nodes at 10 groups) dwarfs
 /// the dominance-collapsed tree (2^10 - 1 nodes), small enough that the
 /// dominance-*disabled* run still proves its optimum within the default
-/// node budget — so `scripts/bench_baseline.sh` can record both node
-/// counts from finished searches and `bench_regression.sh` can gate
-/// their ratio.
+/// node budget — so the `# tie plateau` section of
+/// `tests/golden/effort.txt` pins both node counts from finished
+/// searches.
 pub const PLATEAU_GROUPS: usize = 10;
 
 /// A synthetic worst-case tie plateau for the off-chip partition

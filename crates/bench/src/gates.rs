@@ -12,10 +12,11 @@
 //!   store, cold for the first cell and warm after;
 //! - **cache**: a pass on the caller's store (possibly carried over from
 //!   an older build, so a stale entry shows up as a diff), a warm pass
-//!   that must hit both the `scbd` and `alloc` kinds for every
-//!   [`SCHEDULING`] binary, then every entry corrupted (truncation and
-//!   garbage alternating): stdout must not change, and a last run must
-//!   hit again because the entries were repaired;
+//!   that must hit both the `scbd` and `alloc` kinds, and miss neither,
+//!   for every [`SCHEDULING`] binary, then every entry corrupted
+//!   (truncation and garbage alternating): stdout must not change, and a
+//!   last run must hit again without a miss because the entries were
+//!   repaired;
 //! - **shards**: two concurrent processes split the suite by binary
 //!   index over one fresh store, cold then warm; every binary must run
 //!   in exactly one shard and match the reference, so the merged stdout
@@ -304,10 +305,14 @@ impl Gates {
         }
     }
 
+    /// Fails `bin` unless each of its `scbd` and `alloc` cache lines
+    /// reports hits and no misses: a warm store must serve everything.
     fn require_hits(&mut self, bin: &str, label: &str, out: &Output) {
         for kind in ["scbd", "alloc"] {
-            if hits(out, kind) == 0 {
-                self.fail(bin, label, format!("no {kind} cache hits"));
+            match cache_counts(out, kind) {
+                (0, _) => self.fail(bin, label, format!("no {kind} cache hits")),
+                (_, 0) => {}
+                (_, misses) => self.fail(bin, label, format!("{misses} {kind} cache misses")),
             }
         }
     }
@@ -333,7 +338,10 @@ impl Gates {
             for (shard, runs) in shards.into_iter().enumerate() {
                 runs.iter().for_each(|(i, _)| ran[*i] += 1);
                 let passed = self.check(&format!("shard {shard} {pass}"), runs, Some(reference));
-                let alloc_hits: u64 = passed.iter().map(|(_, out)| hits(out, "alloc")).sum();
+                let alloc_hits: u64 = passed
+                    .iter()
+                    .map(|(_, out)| cache_counts(out, "alloc").0)
+                    .sum();
                 if pass == "warm" && alloc_hits == 0 {
                     self.fail(&format!("shard {shard}"), pass, "no alloc cache hits");
                 }
@@ -415,13 +423,14 @@ impl Gates {
     }
 }
 
-/// The hits on `out`'s `[<kind> cache: ...]` stderr line (0 without one).
-fn hits(out: &Output, kind: &str) -> u64 {
+/// The hits and misses on `out`'s `[<kind> cache: ...]` stderr line
+/// (both 0 without one).
+fn cache_counts(out: &Output, kind: &str) -> (u64, u64) {
     String::from_utf8_lossy(&out.stderr)
         .lines()
         .filter_map(parse_cache_stat_line)
         .find(|(k, _, _)| *k == kind)
-        .map_or(0, |(_, hits, _)| hits)
+        .map_or((0, 0), |(_, hits, misses)| (hits, misses))
 }
 
 /// Binary indices `0..binaries` split round-robin over `shards`.
@@ -475,7 +484,7 @@ mod tests {
     /// The `faults` file next to it names the binaries that misbehave.
     const FAKE: &str = r#"#!/bin/sh
 name=${0##*/}
-DRIFT= NO_HIT= NO_REPAIR=
+DRIFT= NO_HIT= NO_REPAIR= MISS=
 . "${0%/*}/faults"
 echo "table of $name"
 if [ "$name" = "$DRIFT" ] && [ "$MEMX_WORKERS" = 8 ]; then echo drift; fi
@@ -486,6 +495,7 @@ for pair in scbd:scbd alloc:alloc block:offblocks; do
         mkdir -p "${entry%/*}"
         if [ "$name" != "$NO_HIT" ] && [ "$(cat "$entry" 2>/dev/null)" = "valid entry of $name" ]; then
             hits=1
+            if [ "$name" = "$MISS" ]; then misses=1; fi
         else
             misses=1
             if [ "$name" != "$NO_REPAIR" ] || [ ! -e "$entry" ]; then
@@ -579,6 +589,20 @@ done
             &[
                 "FAIL table3_cycle_budget [cache warm]: no scbd cache hits",
                 "FAIL table3_cycle_budget [cache warm]: no alloc cache hits",
+            ],
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn warm_pass_with_a_miss_names_binary() {
+        let (mut gates, reference, dir) = fakes("miss", "MISS=memx-corpus");
+        gates.cache_roundtrip(&reference, &dir.join("store"));
+        assert_only_failures(
+            &gates,
+            &[
+                "FAIL memx-corpus [cache warm]: 1 scbd cache misses",
+                "FAIL memx-corpus [cache warm]: 1 alloc cache misses",
             ],
         );
         fs::remove_dir_all(dir).unwrap();
