@@ -92,18 +92,17 @@ fn request(
 ) -> Result<Response, ClientError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: memx-serve\r\n");
+    // Head and body leave in one write.
+    let mut message = format!("{method} {path} HTTP/1.1\r\nhost: memx-serve\r\n");
     if let Some(body) = body {
-        head.push_str(&format!(
+        message.push_str(&format!(
             "content-type: application/json\r\ncontent-length: {}\r\n",
             body.len()
         ));
     }
-    head.push_str("connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    if let Some(body) = body {
-        stream.write_all(body.as_bytes())?;
-    }
+    message.push_str("connection: close\r\n\r\n");
+    message.push_str(body.unwrap_or(""));
+    stream.write_all(message.as_bytes())?;
     stream.flush()?;
     read_response(&mut BufReader::new(stream))
 }

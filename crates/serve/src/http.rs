@@ -271,7 +271,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete non-streaming response with a JSON body.
+/// Writes a complete non-streaming response with a JSON body: head and
+/// body in one write.
 ///
 /// # Errors
 ///
@@ -282,38 +283,41 @@ pub fn write_response(
     extra_headers: &[(&str, String)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
         reason(status),
         body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        message.push_str(name);
+        message.push_str(": ");
+        message.push_str(value);
+        message.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str("\r\n");
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
 /// A chunked streaming response: one `chunk` call per row, then
-/// `finish` with the trailer fields.
+/// `finish` with the trailer fields. Every frame leaves in one write:
+/// the response head with the first row (or with the terminator of an
+/// empty batch), each later row's size line, payload and CRLF together,
+/// and the zero chunk with all trailers.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     stream: W,
+    /// The next frame's bytes; holds the unsent response head until the
+    /// first write.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Writes the response head, declaring the trailer names that
-    /// [`ChunkedWriter::finish`] will send.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn start(mut stream: W, status: u16, trailer_names: &[&str]) -> std::io::Result<Self> {
+    /// Prepares the response head, declaring the trailer names that
+    /// [`ChunkedWriter::finish`] will send. Nothing is written yet: the
+    /// head goes out with the first frame.
+    pub fn start(stream: W, status: u16, trailer_names: &[&str]) -> Self {
         let mut head = format!(
             "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n",
             reason(status),
@@ -324,8 +328,10 @@ impl<W: Write> ChunkedWriter<W> {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream })
+        ChunkedWriter {
+            stream,
+            frame: head.into_bytes(),
+        }
     }
 
     /// Writes one chunk (the payload is never empty for a row, and an
@@ -339,10 +345,10 @@ impl<W: Write> ChunkedWriter<W> {
         if payload.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", payload.len())?;
-        self.stream.write_all(payload)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        write!(self.frame, "{:x}\r\n", payload.len())?;
+        self.frame.extend_from_slice(payload);
+        self.frame.extend_from_slice(b"\r\n");
+        self.send()
     }
 
     /// Terminates the stream: the zero chunk, then the trailers.
@@ -351,11 +357,20 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates socket write failures.
     pub fn finish(mut self, trailers: &[(&str, String)]) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n")?;
+        self.frame.extend_from_slice(b"0\r\n");
         for (name, value) in trailers {
-            write!(self.stream, "{name}: {value}\r\n")?;
+            write!(self.frame, "{name}: {value}\r\n")?;
         }
-        self.stream.write_all(b"\r\n")?;
+        self.frame.extend_from_slice(b"\r\n");
+        self.send()
+    }
+
+    /// Writes the pending frame in one `write_all` and empties the buffer
+    /// for the next one.
+    fn send(&mut self) -> std::io::Result<()> {
+        let sent = self.stream.write_all(&self.frame);
+        self.frame.clear();
+        sent?;
         self.stream.flush()
     }
 }
@@ -442,7 +457,7 @@ mod tests {
     #[test]
     fn chunked_writer_frames_rows_and_trailers() {
         let mut out = Vec::new();
-        let mut w = ChunkedWriter::start(&mut out, 200, &["x-memx-rows"]).unwrap();
+        let mut w = ChunkedWriter::start(&mut out, 200, &["x-memx-rows"]);
         w.chunk(b"{\"index\":0}\n").unwrap();
         w.chunk(b"").unwrap(); // skipped, must not terminate
         w.chunk(b"{\"index\":1}\n").unwrap();
@@ -453,5 +468,57 @@ mod tests {
         assert!(text.contains("trailer: x-memx-rows\r\n"));
         assert!(text.contains("c\r\n{\"index\":0}\n\r\n"));
         assert!(text.ends_with("0\r\nx-memx-rows: 2\r\n\r\n"));
+    }
+
+    /// A sink that records each `write` call's bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_frame_is_one_write() {
+        let trailers = ["x-memx-rows", "x-a", "x-b", "x-c"];
+        let mut writes = Writes::default();
+        let mut w = ChunkedWriter::start(&mut writes, 200, &trailers);
+        assert!(w.stream.0.is_empty(), "start must not write the head");
+        for row in ["{\"index\":0}\n", "{\"index\":1}\n", "{\"index\":2}\n"] {
+            w.chunk(row.as_bytes()).unwrap();
+        }
+        w.finish(&trailers.map(|name| (name, "3".to_string())))
+            .unwrap();
+        // The head with the first row, one write per later row, one for
+        // the zero chunk and every trailer.
+        assert_eq!(writes.0.len(), 4, "{:?}", writes.0);
+        assert!(writes.0[0].starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(writes.0[0].ends_with(b"\r\n\r\nc\r\n{\"index\":0}\n\r\n"));
+        assert_eq!(writes.0[2], b"c\r\n{\"index\":2}\n\r\n");
+        assert_eq!(
+            writes.0[3],
+            b"0\r\nx-memx-rows: 3\r\nx-a: 3\r\nx-b: 3\r\nx-c: 3\r\n\r\n"
+        );
+
+        // An empty batch sends the head with the terminator.
+        let mut writes = Writes::default();
+        ChunkedWriter::start(&mut writes, 200, &[])
+            .finish(&[])
+            .unwrap();
+        assert_eq!(writes.0.len(), 1);
+        assert!(writes.0[0].ends_with(b"chunked\r\n\r\n0\r\n\r\n"));
+
+        let mut writes = Writes::default();
+        write_response(&mut writes, 404, &[("connection", "close".into())], "{}").unwrap();
+        assert_eq!(
+            writes.0,
+            [b"HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: close\r\n\r\n{}".to_vec()]
+        );
     }
 }

@@ -277,13 +277,14 @@ fn handler_loop(shared: &Shared) {
 /// response and closes the connection (the byte stream is no longer
 /// trustworthy after a framing violation); the daemon itself stays
 /// serviceable either way.
+///
+/// Every response frame is one write, and `TCP_NODELAY` sends each at
+/// once: with Nagle on, a keep-alive request's answer would wait for the
+/// delayed ACK of the previous one.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(shared.read_timeout);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(&stream);
     loop {
         let request = match http::read_request(&mut reader, shared.read_limits) {
             Ok(None) => return,
@@ -291,7 +292,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             Err(e) => {
                 let body = wire::render_error(e.status(), &e.to_string());
                 let _ = http::write_response(
-                    &mut writer,
+                    &mut &stream,
                     e.status(),
                     &[("connection", "close".to_string())],
                     &body,
@@ -302,7 +303,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         let close = request
             .header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        let served = dispatch(shared, &request, &mut writer);
+        let served = dispatch(shared, &request, &stream);
         if close || served.is_err() {
             return;
         }
@@ -312,20 +313,20 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
 /// Routes one request. `Err` means the connection is no longer usable
 /// (mid-stream write failure); protocol-level rejections are `Ok` —
 /// they got a well-formed error response.
-fn dispatch(shared: &Shared, request: &Request, writer: &mut TcpStream) -> Result<(), ()> {
+fn dispatch(shared: &Shared, request: &Request, mut writer: &TcpStream) -> Result<(), ()> {
     match (request.method.as_str(), request.target.as_str()) {
         ("POST", "/v1/evaluate") => serve_evaluate(shared, request, writer),
         ("GET", "/v1/stats") => {
             let body = stats_body(shared);
-            http::write_response(writer, 200, &[], &body).map_err(|_| ())
+            http::write_response(&mut writer, 200, &[], &body).map_err(|_| ())
         }
         (_, "/v1/evaluate") | (_, "/v1/stats") => {
             let body = wire::render_error(405, "method not allowed");
-            http::write_response(writer, 405, &[], &body).map_err(|_| ())
+            http::write_response(&mut writer, 405, &[], &body).map_err(|_| ())
         }
         _ => {
             let body = wire::render_error(404, "unknown endpoint");
-            http::write_response(writer, 404, &[], &body).map_err(|_| ())
+            http::write_response(&mut writer, 404, &[], &body).map_err(|_| ())
         }
     }
 }
@@ -373,12 +374,12 @@ fn cache_delta(before: &CacheStats, after: &CacheStats) -> [(&'static str, Strin
     ]
 }
 
-fn serve_evaluate(shared: &Shared, request: &Request, writer: &mut TcpStream) -> Result<(), ()> {
+fn serve_evaluate(shared: &Shared, request: &Request, mut writer: &TcpStream) -> Result<(), ()> {
     let parsed = match crate::json::parse(&request.body) {
         Ok(v) => v,
         Err(e) => {
             let body = wire::render_error(400, &e.to_string());
-            return http::write_response(writer, 400, &[], &body).map_err(|_| ());
+            return http::write_response(&mut writer, 400, &[], &body).map_err(|_| ());
         }
     };
     let decoded = match wire::decode_evaluate(&parsed, shared.wire_limits) {
@@ -386,7 +387,7 @@ fn serve_evaluate(shared: &Shared, request: &Request, writer: &mut TcpStream) ->
         Err(e) => {
             let status = e.status();
             let body = wire::render_error(status, &e.to_string());
-            return http::write_response(writer, status, &[], &body).map_err(|_| ());
+            return http::write_response(&mut writer, status, &[], &body).map_err(|_| ());
         }
     };
 
@@ -419,13 +420,7 @@ fn serve_evaluate(shared: &Shared, request: &Request, writer: &mut TcpStream) ->
         "x-memx-cache-alloc",
         "x-memx-cache-blocks",
     ];
-    let mut sink = match ChunkedWriter::start(&mut *writer, 200, &trailer_names) {
-        Ok(sink) => sink,
-        Err(_) => {
-            lock(&shared.admit).evaluating -= 1;
-            return Err(());
-        }
-    };
+    let mut sink = ChunkedWriter::start(writer, 200, &trailer_names);
     let mut rows_written = 0u64;
     let mut broken = false;
     engine.evaluate_stream(&points, |i, result| {

@@ -6,7 +6,7 @@
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use memx_core::cache::EvalCache;
 use memx_memlib::MemLibrary;
@@ -29,6 +29,14 @@ fn boot_default() -> SocketAddr {
     boot(ServeConfig::default())
 }
 
+fn rows_text(response: &client::Response) -> Vec<String> {
+    response
+        .rows
+        .iter()
+        .map(|r| String::from_utf8(r.clone()).unwrap())
+        .collect()
+}
+
 /// The daemon must answer a well-formed request after the abuse; this
 /// is the "engine still serviceable" check shared by the abuse tests.
 fn assert_serviceable(addr: SocketAddr) {
@@ -36,12 +44,7 @@ fn assert_serviceable(addr: SocketAddr) {
     let response = client::post_evaluate(addr, &demo).unwrap();
     assert_eq!(response.status, 200);
     let offline = wire::offline_rows(demo.as_bytes(), Default::default()).unwrap();
-    let served: Vec<String> = response
-        .rows
-        .iter()
-        .map(|r| String::from_utf8(r.clone()).unwrap())
-        .collect();
-    assert_eq!(served, offline);
+    assert_eq!(rows_text(&response), offline);
 }
 
 fn raw_request(addr: SocketAddr, payload: &[u8]) -> TcpStream {
@@ -134,12 +137,7 @@ fn served_rows_match_offline_cold_and_warm_with_cache() {
     for pass in ["cold", "warm"] {
         let response = client::post_evaluate(addr, &demo).unwrap();
         assert_eq!(response.status, 200, "{pass}");
-        let served: Vec<String> = response
-            .rows
-            .iter()
-            .map(|r| String::from_utf8(r.clone()).unwrap())
-            .collect();
-        assert_eq!(served, offline, "{pass}");
+        assert_eq!(rows_text(&response), offline, "{pass}");
         assert_eq!(
             response.field("x-memx-rows"),
             Some(offline.len().to_string().as_str()),
@@ -169,12 +167,7 @@ fn concurrent_clients_each_get_byte_identical_rows() {
     for handle in handles {
         let response = handle.join().unwrap();
         assert_eq!(response.status, 200);
-        let served: Vec<String> = response
-            .rows
-            .iter()
-            .map(|r| String::from_utf8(r.clone()).unwrap())
-            .collect();
-        assert_eq!(served, offline);
+        assert_eq!(rows_text(&response), offline);
     }
 }
 
@@ -266,4 +259,123 @@ fn self_drive_removes_only_the_store_it_created() {
     let kept = std::fs::read_dir(&store).map(|d| d.count()).unwrap_or(0);
     std::fs::remove_dir_all(&tmp).unwrap();
     assert!(kept > 0, "the --cache-dir store was removed or left empty");
+}
+
+#[test]
+fn keep_alive_requests_answer_without_delayed_ack_stalls() {
+    let addr = boot_default();
+    let demo = wire::demo_request_text();
+    let offline = wire::offline_rows(demo.as_bytes(), Default::default()).unwrap();
+    let request = format!(
+        "POST /v1/evaluate HTTP/1.1\r\ncontent-length: {}\r\n\r\n{demo}",
+        demo.len()
+    );
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut latencies = Vec::new();
+    for _ in 0..6 {
+        let sent = Instant::now();
+        (&stream).write_all(request.as_bytes()).unwrap();
+        let response = client::read_response(&mut reader).unwrap();
+        latencies.push(sent.elapsed());
+        assert_eq!(response.status, 200);
+        assert_eq!(rows_text(&response), offline);
+    }
+    // Requests 2-6 reuse the connection; a Nagle hold on a streamed row
+    // costs each of them a delayed-ACK timeout (about 40 ms).
+    let mut reused = latencies[1..].to_vec();
+    reused.sort();
+    assert!(
+        reused[reused.len() / 2] < Duration::from_millis(20),
+        "keep-alive latencies {latencies:?}"
+    );
+}
+
+/// `SO_LINGER` with a zero timeout, so `close` resets the connection,
+/// as the benchmark's serve clients do.
+#[cfg(target_os = "linux")]
+fn reset_on_close(stream: &TcpStream) {
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct Linger {
+        l_onoff: i32,
+        l_linger: i32,
+    }
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const Linger, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let linger = Linger {
+        l_onoff: 1,
+        l_linger: 0,
+    };
+    // SAFETY: `stream` owns the descriptor for the whole call, and
+    // `linger` is a live `struct linger` whose exact size is passed.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_LINGER,
+            &linger,
+            std::mem::size_of::<Linger>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "{}", std::io::Error::last_os_error());
+}
+
+#[cfg(not(target_os = "linux"))]
+fn reset_on_close(_: &TcpStream) {}
+
+#[test]
+fn reset_closed_connections_are_all_answered_and_counted() {
+    const CLIENTS: usize = 2;
+    const REQUESTS: usize = 2_500;
+    let addr = boot(ServeConfig {
+        handlers: 2,
+        engine_workers: 2,
+        ..ServeConfig::default()
+    });
+    // The demo batch without its last point: three rows, like the
+    // benchmark's requests.
+    let demo = wire::demo_request_text();
+    let body = demo.replace(
+        ",\n    {\"label\": \"budget 10\", \"cycle_budget\": 10}",
+        "",
+    );
+    let offline = wire::offline_rows(body.as_bytes(), Default::default()).unwrap();
+    assert_eq!(offline.len(), 3);
+    let request = format!(
+        "POST /v1/evaluate HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let request = request.clone();
+            let offline = offline.clone();
+            std::thread::spawn(move || {
+                for k in 0..REQUESTS {
+                    let stream = raw_request(addr, request.as_bytes());
+                    reset_on_close(&stream);
+                    let response = client::read_response(&mut BufReader::new(&stream))
+                        .unwrap_or_else(|e| panic!("request {k}: {e}"));
+                    assert_eq!(response.status, 200, "request {k}");
+                    assert_eq!(rows_text(&response), offline, "request {k}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    let stats = client::get(addr, "/v1/stats").unwrap();
+    let parsed = memx_serve::json::parse(&stats.body).unwrap();
+    let count = |name| parsed.get(name).unwrap().as_u64().unwrap();
+    assert_eq!(count("requests"), (CLIENTS * REQUESTS) as u64);
+    assert_eq!(count("rows_streamed"), (CLIENTS * REQUESTS * 3) as u64);
+    assert_eq!(count("rejected_requests"), 0);
 }
