@@ -19,6 +19,11 @@
 //! hierarchy experiments target it (see [`best_hierarchy_spec`] and the
 //! Table 2 rows of `tests/golden/paper_tables.txt`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench experiment harness: reads MEMX_* knobs and times runs by design"
+)]
+
 use std::ffi::OsString;
 use std::sync::Arc;
 
@@ -69,9 +74,9 @@ pub const CORPUS_SPECGEN_COUNT: u64 = 2;
 /// `smoke` and `node_limit` trade fidelity for runtime.
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
-    /// Fast smoke-test mode (`MEMX_SMOKE=1`, or a `--smoke` argument): the cheap profile and reduced allocation
-    /// search budget — CI uses it to keep the paper-reproduction
-    /// binaries from rotting.
+    /// Fast smoke-test mode (`MEMX_SMOKE=1`): the cheap profile and
+    /// reduced allocation search budget — CI uses it to keep the
+    /// paper-reproduction binaries from rotting.
     pub smoke: bool,
     /// Worker-pool size (`MEMX_WORKERS`; `0` or unset = one worker per
     /// core, `1` = fully serial).
@@ -130,16 +135,15 @@ pub const KNOB_VARS: [&str; 6] = [
 ];
 
 impl RunKnobs {
-    /// Resolves every knob from the process environment (and the
-    /// `--smoke` argument). Binaries call this exactly once, at entry;
-    /// everything downstream takes the struct by value. A malformed
-    /// knob (`MEMX_BOUND` other than `pairwise`/`solo`, `MEMX_SMOKE` or
-    /// `MEMX_DOMINANCE` other than `0`/`1`, a non-integer `MEMX_WORKERS`
-    /// or `MEMX_NODE_LIMIT`) is named on stderr and exits 2, so a
-    /// mistyped setting never runs as the default.
+    /// Resolves every knob from the process environment. Binaries call
+    /// this exactly once, at entry; everything downstream takes the
+    /// struct by value. A malformed knob (`MEMX_BOUND` other than
+    /// `pairwise`/`solo`, `MEMX_SMOKE` or `MEMX_DOMINANCE` other than
+    /// `0`/`1`, a non-integer `MEMX_WORKERS` or `MEMX_NODE_LIMIT`) is
+    /// named on stderr and exits 2, so a mistyped setting never runs as
+    /// the default.
     pub fn from_env() -> Self {
-        let smoke_arg = std::env::args().any(|a| a == "--smoke");
-        match Self::from_vars(|name| std::env::var_os(name), smoke_arg) {
+        match Self::from_vars(|name| std::env::var_os(name)) {
             Ok(knobs) => knobs,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -150,7 +154,7 @@ impl RunKnobs {
 
     /// [`RunKnobs::from_env`] over an arbitrary variable lookup. An
     /// empty variable counts as unset.
-    fn from_vars(var: impl Fn(&str) -> Option<OsString>, smoke_arg: bool) -> Result<Self, String> {
+    fn from_vars(var: impl Fn(&str) -> Option<OsString>) -> Result<Self, String> {
         let text = |name: &str| -> Result<Option<String>, String> {
             var(name)
                 .filter(|v| !v.is_empty())
@@ -170,7 +174,7 @@ impl RunKnobs {
                 Some(other) => Err(format!("{name}={other}: want `0` or `1`")),
             }
         };
-        let smoke = flag("MEMX_SMOKE")?.unwrap_or(false) || smoke_arg;
+        let smoke = flag("MEMX_SMOKE")?.unwrap_or(false);
         let dominance = flag("MEMX_DOMINANCE")?.unwrap_or(true);
         let workers = match int("MEMX_WORKERS")? {
             Some(n) => usize::try_from(n).map_err(|_| format!("MEMX_WORKERS={n}: too large"))?,
@@ -729,14 +733,11 @@ mod tests {
     use std::cell::RefCell;
 
     fn knobs(vars: &[(&str, &str)]) -> Result<RunKnobs, String> {
-        RunKnobs::from_vars(
-            |name| {
-                vars.iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, v)| OsString::from(v))
-            },
-            false,
-        )
+        RunKnobs::from_vars(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| OsString::from(v))
+        })
     }
 
     #[test]
@@ -788,13 +789,10 @@ mod tests {
     #[test]
     fn knob_vars_lists_every_variable_read() {
         let read = RefCell::new(Vec::new());
-        RunKnobs::from_vars(
-            |name| {
-                read.borrow_mut().push(name.to_string());
-                None
-            },
-            false,
-        )
+        RunKnobs::from_vars(|name| {
+            read.borrow_mut().push(name.to_string());
+            None
+        })
         .unwrap();
         let mut read = read.into_inner();
         read.sort();

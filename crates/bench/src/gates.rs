@@ -21,10 +21,9 @@
 //!   index over one fresh store, cold then warm; every binary must run
 //!   in exactly one shard and match the reference, so the merged stdout
 //!   equals the reference, and each warm shard must hit the alloc cache;
-//! - **serve**: `memx-serve --self-drive`, then a daemon on an ephemeral
-//!   port driven by `serve_client`: cold and warm rows equal the offline
-//!   rows, the warm trailers report hits, and `/v1/stats` counts both
-//!   requests.
+//! - **serve**: a `memx-serve` daemon on an ephemeral port driven by
+//!   `serve_client`: cold and warm rows equal the offline rows, the warm
+//!   trailers report hits, and `/v1/stats` counts both requests.
 //!
 //! Every child runs with the workspace root as its working directory
 //! and every [`KNOB_VARS`] entry its cell does not set removed, so the
@@ -358,12 +357,6 @@ impl Gates {
     }
 
     fn serve(&mut self) {
-        // Given no store, the self-drive would leave one in the temp dir.
-        let store = self.fresh_dir("self-drive");
-        let args = ["--self-drive", "--cache-dir", &store.to_string_lossy()];
-        if let Err(e) = self.run(SERVE, NO_KNOBS, &args, Stdio::null()) {
-            self.fail(SERVE, "self-drive", e);
-        }
         if let Err(e) = self.drive_daemon() {
             self.fail(SERVE, "daemon", e);
         }

@@ -1,8 +1,8 @@
 //! Cache keys of the allocation stage: the instance fingerprints the
 //! [`crate::cache`] entries are addressed by.
 
-// memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — a change to what a key hashes bumps it.
-// memx-lint: fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — likewise for the block catalog.
+// fingerprinted(ALLOC_ALGO_REVISION) — a change to what a key hashes bumps it.
+// fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — likewise for the block catalog.
 use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId};
 use memx_memlib::MemLibrary;

@@ -93,7 +93,7 @@
 //! calling thread — no worker threads are spawned at all (see
 //! [`crate::fan::thread_spawns_on_current_thread`]).
 
-// memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
+// fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use std::collections::BTreeMap;
 
 use memx_ir::hash::StableHasher;

@@ -86,8 +86,8 @@
 //! it when its lower bound does not already prove it irrelevant) that
 //! the instance needs a bigger budget, not a silently unproven answer.
 
-// memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
-// memx-lint: fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — changes to how a subset is priced bump it.
+// fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
+// fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — changes to how a subset is priced bump it.
 use std::collections::BTreeMap;
 
 use memx_ir::{AppSpec, BasicGroupId};
@@ -166,12 +166,15 @@ impl<'a> OffChipCtx<'a> {
         let members: Vec<BasicGroupId> = bits(mask).map(|i| self.inst.off_groups[i]).collect();
         let ports = self.inst.oracle.required(self.global_mask(mask));
         let (words, width, rate_energy) = self.block_dims(mask);
+        #[expect(
+            clippy::expect_used,
+            reason = "only blocks already priced `Some` reach here, so selection cannot fail"
+        )]
         let sel = self
             .inst
             .lib
             .off_chip()
             .select(words, width, ports, rate_energy)
-            // memx-lint: allow(no-panic-paths) — only blocks already priced `Some` reach here, so selection cannot fail.
             .expect("winning blocks are feasible");
         let mw = sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9;
         MemoryInstance {
@@ -190,9 +193,14 @@ impl<'a> OffChipCtx<'a> {
     fn committed(&self, prices: &mut BlockPrices, blocks: &[u64]) -> f64 {
         let mut sum = 0.0;
         for &m in blocks {
-            let price = self.price(prices, m);
-            // memx-lint: allow(no-panic-paths) — every committed block was price-gated `Some` before being committed.
-            sum += price.expect("committed blocks are feasible");
+            #[expect(
+                clippy::expect_used,
+                reason = "every committed block was price-gated `Some` before being committed"
+            )]
+            let price = self
+                .price(prices, m)
+                .expect("committed blocks are feasible");
+            sum += price;
         }
         sum
     }
@@ -212,7 +220,10 @@ impl<'a> OffChipCtx<'a> {
             for (b, &mask) in blocks.iter().enumerate() {
                 if let Some(grown) = self.price(prices, mask | bit) {
                     let current = self.price(prices, mask);
-                    // memx-lint: allow(no-panic-paths) — blocks enter the greedy partition only after pricing `Some`.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "blocks enter the greedy partition only after pricing `Some`"
+                    )]
                     let delta = grown - current.expect("existing blocks are feasible");
                     if choice.map(|(_, d)| delta < d).unwrap_or(true) {
                         choice = Some((b, delta));
@@ -278,6 +289,10 @@ fn off_chip_symmetry(inst: &Instance<'_>, enabled: bool) -> Vec<bool> {
 /// excluded (a join may reuse a committed block's rank slack).
 fn off_chip_group_floor(inst: &Instance<'_>, g: BasicGroupId) -> f64 {
     let width = inst.spec.group(g).bitwidth();
+    #[expect(
+        clippy::expect_used,
+        reason = "`assign_off_chip` rejects an empty part catalog before any floor is computed"
+    )]
     let floor_e = inst
         .lib
         .off_chip()
@@ -285,7 +300,6 @@ fn off_chip_group_floor(inst: &Instance<'_>, g: BasicGroupId) -> f64 {
         .iter()
         .map(|p| p.energy_pj() * f64::from(width.div_ceil(p.width())))
         .min_by(f64::total_cmp)
-        // memx-lint: allow(no-panic-paths) — `assign_off_chip` rejects an empty part catalog before any floor is computed.
         .expect("catalog checked non-empty");
     floor_e * (inst.traffic[g.index()].energy_accesses() / inst.time_s) / 1e9
 }
@@ -403,12 +417,15 @@ impl PartitionSolver for OffChipCtx<'_> {
         let ports = self.inst.oracle.required(self.global_mask(mask));
         let mw = (ports <= 2).then(|| {
             let (words, width, rate_energy) = self.block_dims(mask);
+            #[expect(
+                clippy::expect_used,
+                reason = "the catalog is checked non-empty up front and ports are pre-gated to <= 2, the only selection failure modes"
+            )]
             let sel = self
                 .inst
                 .lib
                 .off_chip()
                 .select(words, width, ports, rate_energy)
-                // memx-lint: allow(no-panic-paths) — the catalog is checked non-empty up front and ports are pre-gated to <= 2, the only selection failure modes.
                 .expect("catalog non-empty and ports pre-gated");
             sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9
         });

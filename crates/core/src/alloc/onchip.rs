@@ -55,7 +55,7 @@
 //! table and are dropped after a fan: one direct-mapped table merged
 //! into another would only evict entries.
 
-// memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
+// fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use memx_ir::{AppSpec, BasicGroupId};
 use memx_memlib::{CostBreakdown, MemLibrary, OnChipSpec};
 

@@ -45,7 +45,7 @@
 //!    ([`PartitionSolver::STOP_AT_LIMIT`]): on chip every call keeps
 //!    counting; off chip counting stops at `limit + 1`.
 
-// memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
+// fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes here bump it.
 use crate::fan::{seeded_fan, TARGET_SUBTREES};
 
 /// Set-bit positions of `mask`, ascending — a bin's members in push

@@ -102,6 +102,11 @@
 //! # }
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "monotone hit/miss statistics on the evaluation cache"
+)]
+
 use std::error::Error;
 use std::fmt;
 use std::fs;

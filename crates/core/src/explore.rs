@@ -130,8 +130,12 @@ impl<'a> Exploration<'a> {
         let mut report = evaluate(spec, self.lib, options)?;
         report.label = label.into();
         self.reports.push(report);
-        // memx-lint: allow(no-panic-paths) — the report was pushed on the line above.
-        Ok(self.reports.last().expect("just pushed"))
+        #[expect(
+            clippy::expect_used,
+            reason = "the report was pushed on the line above"
+        )]
+        let report = self.reports.last().expect("just pushed");
+        Ok(report)
     }
 
     /// Records an already-evaluated report (the fold target of the

@@ -65,10 +65,11 @@
 //! # Atomics and memory-ordering audit
 //!
 //! This module is the only place in the workspace where solver-facing
-//! atomics live (enforced by `memx-lint`'s `atomics-confined` lint; the
-//! cache's statistics counters and the profiler's access counters are
-//! the two allowlisted exceptions). Every atomic operation uses
-//! `Ordering::Relaxed`, which is sufficient — per atomic:
+//! atomics live (`clippy.toml` disallows the atomic types everywhere
+//! else; the cache's statistics counters and the profiler's access
+//! counters are the two other modules that expect the lint). Every
+//! atomic operation uses `Ordering::Relaxed`, which is sufficient — per
+//! atomic:
 //!
 //! * **`Incumbent`** (`AtomicU64` holding `f64` bits): *skip-only*
 //!   usage. Readers never order payload reads against it — the value
@@ -95,6 +96,11 @@
 //!   (or drops) the states after every join.
 //! * **The seed's outcome** is written before the scope starts and only
 //!   read inside it; the spawn provides the happens-before edge.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the audited fan-out harness: the only algorithmic atomics in the tree"
+)]
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -250,8 +256,12 @@ where
         handles
             .into_iter()
             .map(|h| {
-                // memx-lint: allow(no-panic-paths) — a scoped worker panicking would abort the scope anyway; joining merely forwards it.
-                h.join().expect("pool worker panicked")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a scoped worker panicking would abort the scope anyway; joining merely forwards it"
+                )]
+                let out = h.join().expect("pool worker panicked");
+                out
             })
             .collect()
     })

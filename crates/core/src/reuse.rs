@@ -85,10 +85,13 @@ pub fn analyze(spec: &AppSpec) -> Vec<ReuseStats> {
 /// two-level chain combining them.
 pub fn candidates(spec: &AppSpec, group: BasicGroupId) -> Vec<ReuseCandidate> {
     let g = spec.group(group);
+    #[expect(
+        clippy::expect_used,
+        reason = "`analyze` emits one stats row for every group of the spec"
+    )]
     let stats = analyze(spec)
         .into_iter()
         .find(|s| s.group == group)
-        // memx-lint: allow(no-panic-paths) — `analyze` emits one stats row for every group of the spec.
         .expect("group belongs to spec");
     let mut out = vec![ReuseCandidate {
         group,

@@ -85,7 +85,7 @@ use memx_ir::{AppSpec, BasicGroupId, LoopNest, LoopNestId, Placement};
 use crate::macp::access_duration;
 use crate::ExploreError;
 
-// memx-lint: fingerprinted(SCBD_ALGO_REVISION) — result-affecting changes
+// fingerprinted(SCBD_ALGO_REVISION) — result-affecting changes
 // to this scheduler (pressure weights aside, which are hashed directly)
 // must bump the revision in `core::cache`.
 

@@ -8,6 +8,11 @@
 //! set, filtered to the matching `*_writer_child` helper (which is a
 //! no-op under a normal test run).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the re-executed writer processes find their shared store through an environment variable"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -1,6 +1,11 @@
 //! Property-based tests on the exploration stages: scheduling and
 //! assignment invariants over random specifications.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a case counter shared across proptest cases names each case's scratch cache directory"
+)]
+
 use memx_core::alloc::{
     assign_with_stats, bell_number, off_chip_exhaustive_reference, root_lower_bounds, AllocOptions,
     BoundKind, MemoryKind, Organization,

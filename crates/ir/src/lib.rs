@@ -51,6 +51,17 @@
 //! Rust.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,6 +1,6 @@
 //! Parser failure-mode fixtures: each malformed spec file produces the
 //! documented diagnostic — exact line and column pinned — and never a
-//! panic. Mirrors the seeded-fixture style of the `memx-lint` suite.
+//! panic.
 
 use memx_ir::{parse_spec, print_spec};
 

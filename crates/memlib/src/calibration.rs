@@ -8,7 +8,7 @@
 //! exploits. They are *not* fitted per experiment: the same constants
 //! produce all four tables.
 //
-// memx-lint: fingerprinted(alloc_model_fingerprint) — the dual-port
+// fingerprinted(alloc_model_fingerprint) — the dual-port
 // calibration factors are hashed into the allocation cache key.
 
 /// On-chip SRAM storage-cell area per bit \[mm²/bit\] (0.7 µm, 6T cell plus

@@ -1,6 +1,6 @@
 //! Off-chip DRAM part catalog (EDO-DRAM datasheet stand-in).
 //
-// memx-lint: fingerprinted(alloc_model_fingerprint) — every catalog row
+// fingerprinted(alloc_model_fingerprint) — every catalog row
 // is hashed into the allocation cache key.
 
 use std::fmt;

@@ -1,6 +1,6 @@
 //! On-chip SRAM module-generator model.
 //
-// memx-lint: fingerprinted(alloc_model_fingerprint) — every model
+// fingerprinted(alloc_model_fingerprint) — every model
 // accessor below is hashed into the allocation cache key.
 
 use std::fmt;

@@ -7,9 +7,9 @@
 //! makes block copies into hierarchy layers so much cheaper in bandwidth
 //! than scattered accesses.
 //
-// memx-lint: fingerprinted(scbd_model_fingerprint) — the cycle constants
+// fingerprinted(scbd_model_fingerprint) — the cycle constants
 // below are hashed into the SCBD cache key.
-// memx-lint: fingerprinted(alloc_model_fingerprint) — the burst energy
+// fingerprinted(alloc_model_fingerprint) — the burst energy
 // factor is hashed into the allocation cache key.
 
 /// Cycles occupied by one on-chip SRAM access.

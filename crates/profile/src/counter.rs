@@ -1,5 +1,10 @@
 //! Thread-safe per-array access counters.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the profiling counter primitive itself"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Read/write counters for one tracked array.

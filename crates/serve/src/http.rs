@@ -9,9 +9,13 @@
 //!
 //! Request headers land in a `HashMap` keyed by lowercased name — a
 //! case-insensitive *lookup table* that is never iterated into output
-//! (responses are built from ordered vectors), which is exactly the
-//! `no-unordered-iter` scope carve-out this file carries in
-//! `memx-lint`'s workspace config.
+//! (responses are built from ordered vectors), which is why this file
+//! alone may use the `HashMap` that `clippy.toml` disallows.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "request headers are a case-insensitive lookup table, never iterated into a response; responses are built from order-preserving vectors"
+)]
 
 use std::collections::HashMap;
 use std::fmt;

@@ -22,10 +22,22 @@
 //!   surface.
 //! - [`server`] — admission control, worker budgeting and the
 //!   connection loop.
-//! - [`client`] — a scripted client used by `--self-drive`, the bench
-//!   harness and the tests.
+//! - [`client`] — a scripted client used by the bench harness and the
+//!   tests.
 //!
 //! The protocol itself is documented in `docs/serve_protocol.md`.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod client;
 pub mod http;

@@ -9,8 +9,8 @@
 //! actual evaluation fan-out reuses `core::fan`'s audited claim queue
 //! *inside* [`Engine::evaluate_stream`] — the daemon budgets workers,
 //! the engine claims work. That is the "reuse the claim queue" arm of
-//! the `atomics-confined` policy: `memx-lint` keeps flagging atomics
-//! anywhere in this crate.
+//! the atomics policy: `clippy.toml` keeps atomics disallowed anywhere
+//! in this crate.
 //!
 //! # Admission and backpressure
 //!

@@ -1,11 +1,16 @@
 //! The daemon's only wall-clock surface.
 //!
-//! `no-ambient-state` stays hard for the rest of the serve crate:
+//! The ban on clock reads stays hard for the rest of the serve crate:
 //! request handling derives everything from the request body, and the
 //! one thing a resident service legitimately wants from the clock —
 //! its own uptime — lives here, behind a counter API. This file is the
-//! serve crate's single `ambient_allowed` entry in `memx-lint`'s
-//! workspace config; moving an `Instant::now` anywhere else fails CI.
+//! serve crate's only exception to `clippy.toml`'s disallowed
+//! `Instant::now`; moving one anywhere else fails CI.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the daemon's only wall-clock surface: uptime and Retry-After bookkeeping; request handling derives everything from the request body"
+)]
 
 use std::sync::Mutex;
 use std::time::Instant;

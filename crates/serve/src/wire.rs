@@ -512,10 +512,9 @@ pub fn offline_rows(body: &[u8], limits: WireLimits) -> Result<Vec<String>, Stri
     Ok(rows)
 }
 
-/// The built-in demonstration batch the self-drive mode and the
-/// scripted client send: a small two-group spec with a budget sweep
-/// whose last point is infeasible (so error rows are exercised on every
-/// smoke run). Kept as *text* so the decode path is part of everything
+/// The built-in demonstration batch the scripted client sends: a small
+/// two-group spec with a budget sweep whose last point is infeasible
+/// (so error rows are exercised on every smoke run). Kept as *text* so the decode path is part of everything
 /// that uses it.
 pub fn demo_request_text() -> String {
     r#"{

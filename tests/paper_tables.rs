@@ -19,6 +19,11 @@
 //! and commit the updated `tests/golden/*.txt` together with the change
 //! that explains it.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "MEMX_UPDATE_GOLDEN opts into rewriting the goldens instead of comparing against them"
+)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
