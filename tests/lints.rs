@@ -128,74 +128,121 @@ fn sources(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
-#[test]
-fn the_real_workspace_keeps_every_source_invariant() {
+/// Every non-test source under `crates/` and `src/`.
+fn workspace_files() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     sources(root, &root.join("crates"), &mut files);
     sources(root, &root.join("src"), &mut files);
+    files
+}
+
+/// A `core::cache` that defines and uses every name of the table.
+fn fake_cache() -> String {
+    [SCBD, ALLOC, BLOCKS, SCBD_MODEL, MODEL]
+        .iter()
+        .map(|n| format!("const {n}: u8 = 1;\nfn k() -> u8 {{ {n} }}\n"))
+        .collect()
+}
+
+const SCBD_FILE: &str = "crates/core/src/scbd.rs";
+const SCBD_MARKED: &str =
+    "// fingerprinted(SCBD_ALGO_REVISION) — weights feed the key.\nconst W: u8 = 1;\n";
+
+#[test]
+fn the_real_workspace_is_clean() {
+    let files = workspace_files();
     assert!(files.len() > 40, "walked only {} files", files.len());
     for path in FINGERPRINTED.iter().map(|(p, _)| *p).chain([CACHE_FILE]) {
         assert!(files.iter().any(|(p, _)| p == path), "{path} is missing");
     }
     let found: Vec<String> = files
         .iter()
-        .flat_map(|(p, t)| {
-            [
-                revision_guard(p, t),
-                err_impl_error(p, t),
-                no_deprecated(p, t),
-            ]
-        })
+        .flat_map(|(p, t)| [revision_guard(p, t), err_impl_error(p, t)])
         .flatten()
         .collect();
     assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
 #[test]
-fn revision_guard_wants_exactly_the_markers_of_its_row() {
-    let scbd = "crates/core/src/scbd.rs";
-    let marked = "// fingerprinted(SCBD_ALGO_REVISION) — weights feed the key.\nconst W: u8 = 1;\n";
-    assert!(revision_guard(scbd, marked).is_empty());
-    assert_eq!(revision_guard(scbd, "const W: u8 = 1;\n").len(), 1);
-    let stale = format!("{marked}// fingerprinted(NO_SUCH_REVISION)\n");
-    assert_eq!(revision_guard(scbd, &stale).len(), 1);
-    assert_eq!(revision_guard("crates/core/src/fan.rs", marked).len(), 1);
-
-    let names = [SCBD, ALLOC, BLOCKS, SCBD_MODEL, MODEL];
-    let cache: String = names
+fn the_real_workspace_has_no_deprecated_items() {
+    let files = workspace_files();
+    // The engine is where the last shims lived.
+    assert!(files.iter().any(|(p, _)| p == "crates/core/src/engine.rs"));
+    let found: Vec<String> = files
         .iter()
-        .map(|n| format!("const {n}: u8 = 1;\nfn k() -> u8 {{ {n} }}\n"))
+        .flat_map(|(p, t)| no_deprecated(p, t))
         .collect();
-    assert!(revision_guard(CACHE_FILE, &cache).is_empty());
-    let unused = cache.replace(&format!("{{ {MODEL} }}"), &format!("{{ 1 }} // {MODEL}"));
-    assert_eq!(revision_guard(CACHE_FILE, &unused).len(), 1);
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
 #[test]
-fn err_impl_error_flags_only_an_uncovered_public_error() {
-    let path = "crates/core/src/fake.rs";
-    let covered = "pub enum FooError { A }\npub(crate) struct BarError;\npub struct ErrorLog;\n\
-                   impl std::error::Error for FooError {}\n";
-    assert!(err_impl_error(path, covered).is_empty());
-    let naked = "pub struct NakedError;\nimpl From<NakedError> for u8 { fn from(_: NakedError) -> u8 { 0 } }\n";
-    assert_eq!(err_impl_error(path, naked).len(), 1);
+fn revision_guard_catches_a_missing_marker() {
+    let found = revision_guard(SCBD_FILE, "const W: u8 = 1;\n");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains(SCBD), "{}", found[0]);
 }
 
 #[test]
-fn no_deprecated_flags_the_attribute_not_its_mentions() {
-    let path = "crates/core/src/fake.rs";
+fn revision_guard_passes_with_the_marker() {
+    assert!(revision_guard(SCBD_FILE, SCBD_MARKED).is_empty());
+    assert!(revision_guard(CACHE_FILE, &fake_cache()).is_empty());
+}
+
+#[test]
+fn revision_guard_rejects_markers_cache_does_not_reference() {
+    let stale = format!("{SCBD_MARKED}// fingerprinted(NO_SUCH_REVISION)\n");
+    let found = revision_guard(SCBD_FILE, &stale);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("NO_SUCH_REVISION"), "{}", found[0]);
+    // A marker in a file outside the table has no row to match.
+    assert_eq!(
+        revision_guard("crates/core/src/fan.rs", SCBD_MARKED).len(),
+        1
+    );
+    // The cache must use, not only mention, each name it defines.
+    let unused = fake_cache().replace(&format!("{{ {MODEL} }}"), &format!("{{ 1 }} // {MODEL}"));
+    let found = revision_guard(CACHE_FILE, &unused);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains(MODEL), "{}", found[0]);
+}
+
+#[test]
+fn err_impl_fixture_flags_only_the_uncovered_public_type() {
+    // NakedError alone: FooError carries an impl, BarError is not plain
+    // `pub`, ErrorLog does not end in `Error`, and the `From<NakedError>`
+    // impl must not count as coverage.
+    let src = "pub enum FooError { A }\npub(crate) struct BarError;\npub struct ErrorLog;\n\
+               pub struct NakedError;\n\
+               impl std::error::Error for FooError {}\n\
+               impl From<NakedError> for u8 { fn from(_: NakedError) -> u8 { 0 } }\n";
+    let found = err_impl_error("crates/core/src/fake.rs", src);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("NakedError"), "{}", found[0]);
+}
+
+#[test]
+fn err_impl_accepts_an_unqualified_error_impl() {
+    let src =
+        "use std::error::Error;\npub enum LocalError { Case }\nimpl Error for LocalError {}\n";
+    assert!(err_impl_error("crates/core/src/fake.rs", src).is_empty());
+}
+
+#[test]
+fn deprecated_fixture_flags_each_attribute_form_in_every_crate() {
     let clean = "// a #[deprecated] shim\n#[allow(deprecated)]\nfn f() {}\nconst S: &str = \"deprecated\";\n";
-    assert!(no_deprecated(path, clean).is_empty());
-    for attr in [
-        "#[deprecated]",
-        "#[deprecated(note = \"use g\")]",
-        "# [ deprecated = \"x\" ]",
-    ] {
-        assert_eq!(
-            no_deprecated(path, &format!("{attr}\nfn f() {{}}\n")).len(),
-            1,
-            "{attr}"
-        );
+    for path in ["crates/core/src/fake.rs", "crates/bench/src/bin/fake.rs"] {
+        assert!(no_deprecated(path, clean).is_empty(), "{path}");
+        for attr in [
+            "#[deprecated]",
+            "#[deprecated(note = \"use g\")]",
+            "# [ deprecated = \"x\" ]",
+        ] {
+            assert_eq!(
+                no_deprecated(path, &format!("{attr}\nfn f() {{}}\n")).len(),
+                1,
+                "{path}: {attr}"
+            );
+        }
     }
 }
